@@ -596,7 +596,9 @@ func printEngineStats(e *dd.Engine) {
 		m.VLive, m.VCapacity, m.VTombstones, m.MLive, m.MCapacity, m.MTombstones)
 	fmt.Printf("  arenas:          v %d chunks (%d free), m %d chunks (%d free)\n",
 		m.VChunks, m.VFree, m.MChunks, m.MFree)
-	fmt.Printf("  weight table:    %d representatives\n", e.WeightTableSize())
+	hits, misses := e.WeightStats()
+	fmt.Printf("  weight table:    %d representatives (%d lookups hit, %d missed)\n",
+		e.WeightTableSize(), hits, misses)
 }
 
 func fatal(err error) {

@@ -94,10 +94,12 @@ type Table struct {
 	misses uint64
 }
 
+// tableSlot is one slot of a Table. A slot is occupied when rep != 0:
+// Lookup answers exact and near zero with Zero before it inserts, so
+// every stored representative has a component of magnitude ≥ Tol.
 type tableSlot struct {
-	key  Key
-	rep  complex128
-	used bool
+	key Key
+	rep complex128
 }
 
 const tableInitSlots = 256
@@ -128,14 +130,19 @@ func (t *Table) Lookup(c complex128) complex128 {
 	if t.slots == nil {
 		t.slots = make([]tableSlot, tableInitSlots)
 	}
-	k := KeyOf(c)
+	// KeyOf(c), keeping the grid coordinates for probeSpan.
+	x, y := real(c)/quantum, imag(c)/quantum
+	kx, ky := math.Round(x), math.Round(y)
+	k := Key{int64(kx), int64(ky)}
 	// A value within Tol of c may have been quantised into a neighbouring
-	// cell; probe the 3×3 neighbourhood.
+	// cell; probe those of the 3×3 neighbourhood that can hold one.
+	rLo, rHi := probeSpan(x, kx)
+	iLo, iHi := probeSpan(y, ky)
 	mask := uint32(len(t.slots) - 1)
-	for dr := int64(-1); dr <= 1; dr++ {
-		for di := int64(-1); di <= 1; di++ {
+	for dr := rLo; dr <= rHi; dr++ {
+		for di := iLo; di <= iHi; di++ {
 			nk := Key{k.Re + dr, k.Im + di}
-			for i := hashKey(nk) & mask; t.slots[i].used; i = (i + 1) & mask {
+			for i := hashKey(nk) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
 				if t.slots[i].key == nk && Eq(t.slots[i].rep, c) {
 					t.hits++
 					return t.slots[i].rep
@@ -148,6 +155,37 @@ func (t *Table) Lookup(c complex128) complex128 {
 	return c
 }
 
+// probeSlack is the margin δ of probeSpan, in cells.
+const probeSlack = 1.0 / 64
+
+// probeSpan returns the cell offsets, along one axis, that Lookup must
+// probe for a component whose grid coordinate is x = v/quantum and whose
+// cell is k = round(x).
+//
+// With f = x − k, a representative r in cell k+1 has r/quantum ≥ k + ½,
+// so it lies at least (½ − f)·quantum away from v. Whenever f ≤ ¼ − δ
+// that is (¼ + δ)·quantum = Tol + 4δ·Tol > Tol, so cell k+1 cannot hold
+// a match and is skipped; likewise cell k−1 whenever f ≥ −¼ + δ. The
+// slack δ absorbs the rounding of x, f and the stored keys, which stays
+// far below δ while |x| ≤ 2^40. Beyond that, and for NaN and ±Inf, the
+// full span is probed. Lookup visits the surviving cells in the same
+// ascending order as the full 3×3 scan, so it finds the same first
+// match, inserts the same representatives and counts the same hits and
+// misses; it only skips cells that hold no match.
+func probeSpan(x, k float64) (lo, hi int64) {
+	if !(math.Abs(x) <= 1<<40) {
+		return -1, 1
+	}
+	f := x - k
+	if f < -0.25+probeSlack {
+		lo = -1
+	}
+	if f > 0.25-probeSlack {
+		hi = 1
+	}
+	return lo, hi
+}
+
 // insert registers a new representative, growing the table as needed.
 func (t *Table) insert(k Key, c complex128) {
 	if (t.count+1)*4 >= len(t.slots)*3 {
@@ -155,10 +193,10 @@ func (t *Table) insert(k Key, c complex128) {
 	}
 	mask := uint32(len(t.slots) - 1)
 	i := hashKey(k) & mask
-	for t.slots[i].used {
+	for t.slots[i].rep != 0 {
 		i = (i + 1) & mask
 	}
-	t.slots[i] = tableSlot{key: k, rep: c, used: true}
+	t.slots[i] = tableSlot{key: k, rep: c}
 	t.count++
 }
 
@@ -167,11 +205,11 @@ func (t *Table) grow() {
 	t.slots = make([]tableSlot, 2*len(old))
 	mask := uint32(len(t.slots) - 1)
 	for _, s := range old {
-		if !s.used {
+		if s.rep == 0 {
 			continue
 		}
 		i := hashKey(s.key) & mask
-		for t.slots[i].used {
+		for t.slots[i].rep != 0 {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = s
@@ -197,11 +235,11 @@ func (t *Table) Canonical(c complex128) bool {
 		return false
 	}
 	// Bit-identity implies the same quantisation key, so only the exact
-	// cell needs probing (Lookup's 3×3 neighbourhood scan is for
-	// tolerance matches of *different* bit patterns).
+	// cell needs probing (Lookup's neighbour cells are for tolerance
+	// matches of *different* bit patterns).
 	k := KeyOf(c)
 	mask := uint32(len(t.slots) - 1)
-	for i := hashKey(k) & mask; t.slots[i].used; i = (i + 1) & mask {
+	for i := hashKey(k) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
 		if t.slots[i].key == k && t.slots[i].rep == c {
 			return true
 		}

@@ -407,6 +407,23 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
+// TestWeightStats checks the weight-table counters: every miss stores
+// one representative, and a value within tolerance of one is a hit.
+func TestWeightStats(t *testing.T) {
+	e := New()
+	rng := rand.New(rand.NewSource(8))
+	e.MulVec(e.GateDD(randUnitary(rng), 4, 1, nil), e.FromVector(randState(rng, 4)))
+	hits, misses := e.WeightStats()
+	if misses == 0 || misses != uint64(e.WeightTableSize()) {
+		t.Fatalf("misses = %d, want the %d stored representatives", misses, e.WeightTableSize())
+	}
+	w := e.Weight(complex(0.3, -0.4))
+	e.Weight(w + complex(cnum.Tol/4, 0))
+	if h, m := e.WeightStats(); h != hits+1 || m != misses+1 {
+		t.Fatalf("after one new value and one near it: (hits, misses) = (%d, %d), want (%d, %d)", h, m, hits+1, misses+1)
+	}
+}
+
 func TestMulMatAgainstDense(t *testing.T) {
 	e := New()
 	rng := rand.New(rand.NewSource(7))

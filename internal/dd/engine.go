@@ -454,6 +454,11 @@ func (e *Engine) Weight(c complex128) complex128 { return e.weights.Lookup(c) }
 // WeightTableSize returns the number of canonical complex representatives.
 func (e *Engine) WeightTableSize() int { return e.weights.Size() }
 
+// WeightStats returns how many weight-table lookups found an existing
+// representative (hits) and how many registered a new one (misses).
+// Exact zero and one short-circuits count in neither.
+func (e *Engine) WeightStats() (hits, misses uint64) { return e.weights.Stats() }
+
 // makeVNode hash-conses a vector node with the given children. The
 // normalisation rule divides out the largest-magnitude edge weight
 // (ties broken towards the lower index): stored weights then never
