@@ -599,6 +599,8 @@ func printEngineStats(e *dd.Engine) {
 	hits, misses := e.WeightStats()
 	fmt.Printf("  weight table:    %d representatives (%d lookups hit, %d missed)\n",
 		e.WeightTableSize(), hits, misses)
+	lookups, gateHits := e.GateStats()
+	fmt.Printf("  gate memo:       %d lookups, %d hits\n", lookups, gateHits)
 }
 
 func fatal(err error) {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/verify"
 )
 
-
 // comparableStats strips the wall-clock fields (GC pause times) that
 // legitimately vary between runs; every remaining counter must be
 // bit-identical between a serial and a batch execution.

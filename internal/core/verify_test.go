@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/dd"
 	"repro/internal/dense"
+	"repro/internal/grover"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -146,6 +148,52 @@ func TestBitFlipRepair(t *testing.T) {
 	t.Logf("sweep: %d repaired, %d aborted", repaired, aborted)
 	if repaired == 0 {
 		t.Error("no trial exercised the repair path; widen the sweep")
+	}
+}
+
+// TestChaosMemoisedGateBitFlipRepair flips a bit in a gate DD that the
+// engine's gate memo then hands out again on every later use (a
+// rebuild would have re-interned a clean node instead). The verifier
+// must catch it and repair onto a fresh engine, whose memo starts
+// empty, so the run ends at the clean sequential result.
+func TestChaosMemoisedGateBitFlipRepair(t *testing.T) {
+	t.Setenv("DD_CHAOS", "1")
+	const n = 6
+	c := grover.Circuit(n, 0b101101, 0)
+	ref, err := Run(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []dd.FaultKind{dd.FaultWeightFlip, dd.FaultChildFlip} {
+		eng := dd.New()
+		if !eng.InjectBitFlipAfter(1, kind) {
+			t.Skip("fault injection did not arm (chaos disabled)")
+		}
+		// The first oracle gate recurs in every Grover iteration.
+		g := c.Gates[n]
+		flipped := eng.GateDD(g.Matrix, n, g.Target, g.Controls)
+		if eng.Stats().FaultsInjected != 1 {
+			t.Fatalf("%v: fault did not land in the gate DD", kind)
+		}
+		iteration := (len(c.Gates) - n) / grover.Iterations(n)
+		res, err := Run(c, Options{Engine: eng, Strategy: KOperations{K: 4}, VerifyEvery: 2 * iteration})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if res.Repairs == 0 {
+			t.Fatalf("%v: flipped gate went unrepaired", kind)
+		}
+		// The retired engine still holds the flipped gate in its memo,
+		// so every use of the gate before the repair received it.
+		if again := eng.GateDD(g.Matrix, n, g.Target, g.Controls); again != flipped {
+			t.Fatalf("%v: the memo did not keep the flipped gate", kind)
+		}
+		got, want := res.State.ToVector(), ref.State.ToVector()
+		for i := range want {
+			if cmplx.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("%v: amplitude %d = %v after repair, sequential reference %v", kind, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/verify"
 )
 
-
 // TestEverythingAgreesOnRandomCircuits is the grand differential test:
 // for each random circuit, all simulation strategies, the optimised
 // circuit, the QASM round trip and the serialised state must agree

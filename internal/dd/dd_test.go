@@ -829,11 +829,28 @@ func BenchmarkMulMatSmallGates(b *testing.B) {
 	}
 }
 
+// BenchmarkGateDD measures a repeated gate: after the first call every
+// GateDD is answered by the gate memo. CI requires 0 allocs/op.
 func BenchmarkGateDD(b *testing.B) {
 	e := New()
+	cs := []Control{Pos(3), Neg(17)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.GateDD(gX, 24, 12, []Control{Pos(3), Neg(17)})
+		_ = e.GateDD(gX, 24, 12, cs)
+	}
+}
+
+// BenchmarkGateDDBuild measures the same gate through the direct
+// construction the memo skips: validation plus one makeMNode per level,
+// each re-finding its node in the unique table. CI requires 0 allocs/op.
+func BenchmarkGateDDBuild(b *testing.B) {
+	e := New()
+	cs := []Control{Pos(3), Neg(17)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = buildUncached(e, gX, 24, 12, cs)
 	}
 }
 

@@ -52,6 +52,16 @@ type Engine struct {
 	// ctlBuf is GateDD's per-qubit control scratch, reused across calls.
 	ctlBuf []ctlKind
 
+	// gateTab memoises gate DDs under the cache generation (see
+	// gateSlot); gateLookups/gateHits count its probes. foreign counts
+	// weight lookups that returned a representative other than their
+	// query, which GateDD reads to decide whether a build may be
+	// memoised.
+	gateTab     []gateSlot
+	gateLookups uint64
+	gateHits    uint64
+	foreign     uint64
+
 	// strategyScratch is an opaque slot for strategy state that should
 	// live as long as the simulation does (see StrategyScratch). The
 	// engine never inspects it.
@@ -377,6 +387,7 @@ func New() *Engine {
 		trTab:    make([]trSlot, scratchSize),
 		projTab:  make([]projSlot, scratchSize),
 		ctTab:    make([]ctSlot, scratchSize),
+		gateTab:  make([]gateSlot, gateSize),
 		cacheGen: 1,
 		projGen:  1,
 	}
@@ -458,6 +469,10 @@ func (e *Engine) WeightTableSize() int { return e.weights.Size() }
 // representative (hits) and how many registered a new one (misses).
 // Exact zero and one short-circuits count in neither.
 func (e *Engine) WeightStats() (hits, misses uint64) { return e.weights.Stats() }
+
+// GateStats returns how many GateDD calls probed the gate memo
+// (lookups) and how many it answered without building (hits).
+func (e *Engine) GateStats() (lookups, hits uint64) { return e.gateLookups, e.gateHits }
 
 // makeVNode hash-conses a vector node with the given children. The
 // normalisation rule divides out the largest-magnitude edge weight
@@ -611,7 +626,12 @@ func (e *Engine) normDiv(w, top complex128) complex128 {
 	if w == top {
 		return cnum.One
 	}
-	return e.weights.Lookup(w / top)
+	q := w / top
+	r := e.weights.Lookup(q)
+	if r != q {
+		e.foreign++
+	}
+	return r
 }
 
 // hashVKey hashes a normalised vector-node key (full 32 bits; callers
@@ -679,10 +699,10 @@ func mixW(h uint32, w complex128) uint32 {
 	return h
 }
 
-// clearCaches invalidates all compute caches and cross-call scratch
-// memos in O(1) by advancing the generation stamp (after GC, node
-// identities may be reused so stale entries must not survive). Only on
-// the rare counter wrap-around are the tables physically wiped.
+// clearCaches invalidates all compute caches, cross-call scratch memos
+// and the gate memo in O(1) by advancing the generation stamp (after
+// GC, node identities may be reused so stale entries must not survive).
+// Only on the rare counter wrap-around are the tables physically wiped.
 func (e *Engine) clearCaches() {
 	if e.cacheGen == math.MaxUint32 {
 		e.addVTab = make([]addVSlot, cacheSize)
@@ -692,6 +712,7 @@ func (e *Engine) clearCaches() {
 		e.ipTab = make([]ipSlot, scratchSize)
 		e.trTab = make([]trSlot, scratchSize)
 		e.ctTab = make([]ctSlot, scratchSize)
+		e.gateTab = make([]gateSlot, gateSize)
 		e.cacheGen = 0
 	}
 	e.cacheGen++

@@ -2,6 +2,7 @@ package dd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -36,8 +37,94 @@ func Neg(q int) Control { return Control{Qubit: q, Negative: true} }
 // ref [25] of the paper: gate DDs come out linear in n, never via
 // explicit Kronecker products of dense matrices.
 //
+// Each distinct gate is built once per cache generation: later calls
+// return the memoised edge, which is bit-identical to a rebuild (see
+// gateSlot). The arguments are validated on every call, hit or miss.
+//
 // u is indexed u[row][col].
 func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) MEdge {
+	pos, neg := e.loadControls(n, target, controls)
+	if n > 64 {
+		// The control masks do not fit the memo key.
+		return e.buildGate(u, n, target)
+	}
+	k := gateKey{n: n, target: target, pos: pos, neg: neg}
+	for i := 0; i < 4; i++ {
+		k.u[i] = math.Float64bits(real(u[i/2][i%2]))
+		k.u[i+4] = math.Float64bits(imag(u[i/2][i%2]))
+	}
+	s := &e.gateTab[k.hash()&gateMask]
+	e.gateLookups++
+	if s.gen == e.cacheGen && s.key == k {
+		e.gateHits++
+		return s.r
+	}
+	foreign := e.foreign
+	r := e.buildGate(u, n, target)
+	if e.foreign == foreign {
+		*s = gateSlot{key: k, r: r, gen: e.cacheGen}
+	}
+	return r
+}
+
+// Gate-memo sizing: a direct-mapped table like the compute caches, far
+// smaller because a circuit has few distinct gates (Grover on 16 qubits
+// builds 19 distinct gates in 7,252 calls).
+const (
+	gateBits = 10
+	gateSize = 1 << gateBits
+	gateMask = gateSize - 1
+)
+
+// gateKey identifies a gate for the memo: the bit patterns of u's
+// entries (real parts, then imaginary parts), the register width, the
+// target and the positive and negative control masks. Bits, not ==:
+// Lookup passes an exact 1 through with the sign of its imaginary zero,
+// so gates differing only in ±0 can build different weight bits.
+type gateKey struct {
+	u         [8]uint64
+	n, target int
+	pos, neg  uint64
+}
+
+func (k *gateKey) hash() uint32 {
+	h := mix(uint32(k.n), uint32(k.target))
+	h = mix(h^uint32(k.pos), uint32(k.pos>>32)^uint32(k.neg))
+	h = mix(h, uint32(k.neg>>32))
+	for _, b := range k.u {
+		h = mix(h^uint32(b), uint32(b>>32))
+	}
+	return h
+}
+
+// gateSlot is one gate-memo entry, valid while gen == cacheGen.
+//
+// Why a hit equals a rebuild: weight representatives are pairwise not
+// within cnum.Tol, so when a Lookup returns a value numerically equal
+// to its query, that representative is the query's only match, now and
+// after any later insert, and a rebuild repeats the lookup exactly. The
+// build feeds makeMNode only representatives and exact 0/1, so the
+// lookups that can return something else are the four entry lookups
+// and normDiv's quotient lookup; both count such "foreign" results in
+// Engine.foreign, and a build that moved the counter is not recorded.
+// (An entry lookup returning zero is not foreign: Lookup's near-zero
+// test does not read the table.) With every weight fixed, makeMNode
+// re-finds the same nodes, which no one frees before the next GC — and
+// GC, like an abort, bumps cacheGen.
+//
+// Under fault injection, a bit flip in a memoised node is handed out
+// again until the memo expires, where a rebuild would re-intern a clean
+// node; Audit still sees it (DESIGN.md §10).
+type gateSlot struct {
+	key gateKey
+	r   MEdge
+	gen uint32
+}
+
+// loadControls validates the gate's qubits, fills e.ctlBuf with each
+// qubit's control kind and returns the positive and negative control
+// masks (meaningful for n <= 64).
+func (e *Engine) loadControls(n, target int, controls []Control) (pos, neg uint64) {
 	if target < 0 || target >= n {
 		panic(fmt.Sprintf("dd: GateDD: target %d out of range for %d qubits", target, n))
 	}
@@ -63,17 +150,29 @@ func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) M
 		}
 		if c.Negative {
 			ctl[c.Qubit] = ctlNeg
+			neg |= 1 << uint(c.Qubit)
 		} else {
 			ctl[c.Qubit] = ctlPos
+			pos |= 1 << uint(c.Qubit)
 		}
 	}
+	return pos, neg
+}
 
+// buildGate is GateDD's direct construction, for the controls
+// loadControls left in e.ctlBuf.
+func (e *Engine) buildGate(u [2][2]complex128, n, target int) MEdge {
+	ctl := e.ctlBuf[:n]
 	// em[2*row+col] tracks, for each entry of the target-level 2x2 block,
 	// the sub-diagram on the qubits processed so far (all below target).
 	var em [4]MEdge
 	for row := 0; row < 2; row++ {
 		for col := 0; col < 2; col++ {
-			w := e.weights.Lookup(u[row][col])
+			q := u[row][col]
+			w := e.weights.Lookup(q)
+			if w != q && w != 0 {
+				e.foreign++
+			}
 			if w == 0 {
 				em[2*row+col] = MZero()
 			} else {

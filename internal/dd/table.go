@@ -43,9 +43,9 @@ type vTable struct {
 }
 
 type mTable struct {
-	slots []*MNode
-	live  int
-	dead  int
+	slots  []*MNode
+	live   int
+	dead   int
 	levels []int
 }
 
