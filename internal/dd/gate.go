@@ -237,57 +237,86 @@ func (e *Engine) SwapDD(n, a, b int) MEdge {
 	return e.MulMat(cx1, e.MulMat(cx2, cx1))
 }
 
+// MaxOracleQubits is the largest register FromPermutation and
+// FromDiagonal accept: both call back once per basis state, and
+// FromPermutation holds O(2^n) words while it builds.
+const MaxOracleQubits = 24
+
 // FromPermutation builds the matrix DD of the basis-state permutation
 // perm on n qubits: the unitary with entries M[perm(x)][x] = 1. This is
 // the DD-construct primitive of Section IV-B — a Boolean oracle is
 // turned into a DD directly rather than through elementary gates.
 //
-// perm must be a bijection on [0, 2^n); this is validated.
+// perm must be a bijection on [0, 2^n); this is validated, once per x
+// in ascending order, before any node is created. The DD is built top
+// down: the entries of a block are partitioned into its four quadrants
+// by the row and column bit of the block's qubit, and each quadrant is
+// built the same way one qubit lower. That is O(n·2^n) partition work
+// and at most one node per non-empty block, with no DD additions.
 func (e *Engine) FromPermutation(n int, perm func(uint64) uint64) MEdge {
-	if n < 0 || n > 24 {
+	if n < 0 || n > MaxOracleQubits {
 		panic(fmt.Sprintf("dd: FromPermutation: qubit count %d out of supported range", n))
 	}
 	size := uint64(1) << uint(n)
-	images := make([]uint64, size)
-	seen := make(map[uint64]struct{}, size)
+	entries := make([]uint64, size)      // entry (perm(x), x) packed as perm(x)<<n | x
+	seen := make([]uint64, (size+63)/64) // bitset of the images so far
 	for x := uint64(0); x < size; x++ {
 		y := perm(x)
 		if y >= size {
 			panic(fmt.Sprintf("dd: FromPermutation: perm(%d) = %d out of range", x, y))
 		}
-		if _, dup := seen[y]; dup {
+		bit := uint64(1) << (y & 63)
+		if seen[y/64]&bit != 0 {
 			panic(fmt.Sprintf("dd: FromPermutation: perm is not injective (image %d repeated)", y))
 		}
-		seen[y] = struct{}{}
-		images[x] = y
+		seen[y/64] |= bit
+		entries[x] = y<<uint(n) | x
 	}
-	// Balanced divide-and-conquer over column ranges: each leaf is the
-	// single-entry matrix |perm(x)><x|, combined pairwise with AddM so
-	// intermediate diagrams stay small and shared.
-	var build func(lo, hi uint64) MEdge
-	build = func(lo, hi uint64) MEdge {
-		if hi-lo == 1 {
-			return e.singleEntry(n, images[lo], lo)
-		}
-		mid := lo + (hi-lo)/2
-		return e.AddM(build(lo, mid), build(mid, hi))
-	}
-	return build(0, size)
+	b := permBuilder{e: e, n: uint(n)}
+	return b.block(n-1, entries, make([]uint64, size))
 }
 
-// singleEntry builds the matrix DD with a single 1 at (row, col).
-func (e *Engine) singleEntry(n int, row, col uint64) MEdge {
-	m := MOne()
-	for q := 0; q < n; q++ {
-		idx := 2*int(row>>uint(q)&1) + int(col>>uint(q)&1)
-		var es [4]MEdge
-		for i := range es {
-			es[i] = MZero()
-		}
-		es[idx] = m
-		m = e.makeMNode(int32(q), es)
+// permBuilder carries FromPermutation's recursion.
+type permBuilder struct {
+	e *Engine
+	n uint
+}
+
+// block builds the DD of the block holding the packed entries src, all
+// of which agree on the row and column bits above qubit q. It
+// partitions them into the same range of dst by quadrant 2·row+col of
+// bit q and recurses into each quadrant with the two buffers' roles
+// swapped.
+func (b *permBuilder) block(q int, src, dst []uint64) MEdge {
+	if len(src) == 0 {
+		return MZero()
 	}
-	return m
+	if q < 0 {
+		return MOne()
+	}
+	quadrant := func(p uint64) int {
+		return int(p>>(b.n+uint(q))&1)<<1 | int(p>>uint(q)&1)
+	}
+	var end [4]int
+	for _, p := range src {
+		end[quadrant(p)]++
+	}
+	for i := 1; i < 4; i++ {
+		end[i] += end[i-1]
+	}
+	next := [4]int{0, end[0], end[1], end[2]}
+	for _, p := range src {
+		i := quadrant(p)
+		dst[next[i]] = p
+		next[i]++
+	}
+	var es [4]MEdge
+	lo := 0
+	for i, hi := range end {
+		es[i] = b.block(q-1, dst[lo:hi], src[lo:hi])
+		lo = hi
+	}
+	return b.e.makeMNode(int32(q), es)
 }
 
 // FromDiagonal builds the diagonal matrix DD with entries phase(x) on n
@@ -295,7 +324,7 @@ func (e *Engine) singleEntry(n int, row, col uint64) MEdge {
 // invoked once per basis state, so the construction is Θ(2^n); intended
 // for oracle sizes up to ~20 qubits.
 func (e *Engine) FromDiagonal(n int, phase func(uint64) complex128) MEdge {
-	if n < 0 || n > 24 {
+	if n < 0 || n > MaxOracleQubits {
 		panic(fmt.Sprintf("dd: FromDiagonal: qubit count %d out of supported range", n))
 	}
 	var build func(level int, prefix uint64) MEdge

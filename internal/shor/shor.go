@@ -177,6 +177,10 @@ func SimulateDDConstruct(modN, a uint64, rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	nBits := mathutil.BitLen(modN)
+	if nBits > dd.MaxOracleQubits {
+		return nil, fmt.Errorf("shor: modulus %d needs %d bits; DD-construct builds oracles of at most %d qubits (N < 2^%d)",
+			modN, nBits, dd.MaxOracleQubits, dd.MaxOracleQubits)
+	}
 	total := nBits + 1
 	ctl := nBits
 	m := 2 * nBits

@@ -3,6 +3,7 @@ package shor
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -313,6 +314,35 @@ func TestSimulateDDConstructFactors21(t *testing.T) {
 	}
 	if res.Factors[0]*res.Factors[1] != 21 {
 		t.Fatalf("factors %v", res.Factors)
+	}
+}
+
+// TestSimulateDDConstructPinnedPhases pins the phases the paper's three
+// DD-construct instances measure under seed 42, recorded with the
+// earlier AddM-summing permutation builder: the direct builder must
+// hand the simulation the same oracles.
+func TestSimulateDDConstructPinnedPhases(t *testing.T) {
+	for _, c := range []struct{ modN, a, phase uint64 }{
+		{1007, 602, 241979},
+		{1851, 17, 3458939},
+		{2561, 2409, 13724219},
+	} {
+		res, err := SimulateDDConstruct(c.modN, c.a, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Phase != c.phase {
+			t.Errorf("shor_%d_%d: phase %d, want %d", c.modN, c.a, res.Phase, c.phase)
+		}
+	}
+}
+
+// A modulus of 2^24 or more needs oracles wider than FromPermutation
+// builds; SimulateDDConstruct must say so instead of panicking.
+func TestSimulateDDConstructRejectsOversizedModulus(t *testing.T) {
+	res, err := SimulateDDConstruct(1<<24+1, 2, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "at most 24 qubits") {
+		t.Fatalf("N = 2^24+1: got (%v, %v), want the 24-qubit DD-construct limit error", res, err)
 	}
 }
 

@@ -130,7 +130,7 @@ func QFTCircuit(n int) *Circuit { return qft.Circuit(n, true) }
 // Factor runs Shor's algorithm for N with base a using the paper's
 // DD-construct strategy (oracle built directly as a permutation DD on
 // n+1 qubits) and returns the recovered order and factors. rng drives
-// the measurement outcomes.
+// the measurement outcomes. N must be below 2^24.
 func Factor(n, a uint64, rng *rand.Rand) (*FactoringResult, error) {
 	return shor.SimulateDDConstruct(n, a, rng)
 }
