@@ -562,45 +562,30 @@ func printTopAmplitudes(res *core.Result, n, top int) {
 	}
 }
 
-// printEngineStats reports the engine's per-cache hit rates, node and
-// GC accounting, and memory-layer occupancy.
+// printEngineStats reports every row of the engine's counter table,
+// the per-cache hit rates, and memory-layer occupancy.
 func printEngineStats(e *dd.Engine) {
 	s := e.Stats()
 	m := e.MemStats()
 	fmt.Println("engine statistics:")
-	cache := func(name string, c dd.CacheStats) {
-		// A never-consulted cache has no hit rate; "0.0%" would read as
-		// a pathologically cold cache rather than an unused one.
-		rate := "-"
-		if c.Lookups > 0 {
-			rate = fmt.Sprintf("%.1f%%", 100*c.HitRate())
+	for _, c := range dd.Counters {
+		fmt.Printf("  %-24s %12d  %s\n", c.Name, c.Value(&s), c.Help)
+	}
+	// A never-consulted cache has no hit rate; "0.0%" would read as a
+	// pathologically cold cache rather than an unused one.
+	rate := func(c dd.CacheStats) string {
+		if c.Lookups == 0 {
+			return "-"
 		}
-		fmt.Printf("  %-7s cache: %10d lookups  %10d hits  (%s)\n",
-			name, c.Lookups, c.Hits, rate)
+		return fmt.Sprintf("%.1f%%", 100*c.HitRate())
 	}
-	cache("add-v", s.AddV)
-	cache("add-m", s.AddM)
-	cache("mul-mv", s.MulMV)
-	cache("mul-mm", s.MulMM)
-	fmt.Printf("  mul recursions:  %d (add recursions %d)\n", s.MulRecursions, s.AddRecursions)
-	skips := s.IdentitySkipsMV + s.IdentitySkipsMM
-	if e.IdentitySkipEnabled() {
-		fmt.Printf("  identity skips:  %d (mat-vec %d, mat-mat %d; %d recursion levels avoided)\n",
-			skips, s.IdentitySkipsMV, s.IdentitySkipsMM, s.IdentitySkipLevels)
-	} else {
-		fmt.Printf("  identity skips:  disabled (-no-identity-skip)\n")
-	}
-	fmt.Printf("  nodes created:   %d (recycled %d)\n", s.NodesCreated, s.NodesRecycled)
-	fmt.Printf("  collections:     %d (total pause %v, max %v)\n", s.GCs, s.GCPause, s.GCMaxPause)
-	fmt.Printf("  unique tables:   v %d/%d slots (%d tombstones), m %d/%d slots (%d tombstones)\n",
+	fmt.Printf("  cache hit rates:  add-v %s, add-m %s, mul-mv %s, mul-mm %s\n",
+		rate(s.AddV), rate(s.AddM), rate(s.MulMV), rate(s.MulMM))
+	fmt.Printf("  unique tables:    v %d/%d slots (%d tombstones), m %d/%d slots (%d tombstones)\n",
 		m.VLive, m.VCapacity, m.VTombstones, m.MLive, m.MCapacity, m.MTombstones)
-	fmt.Printf("  arenas:          v %d chunks (%d free), m %d chunks (%d free)\n",
+	fmt.Printf("  arenas:           v %d chunks (%d free), m %d chunks (%d free)\n",
 		m.VChunks, m.VFree, m.MChunks, m.MFree)
-	hits, misses := e.WeightStats()
-	fmt.Printf("  weight table:    %d representatives (%d lookups hit, %d missed)\n",
-		e.WeightTableSize(), hits, misses)
-	lookups, gateHits := e.GateStats()
-	fmt.Printf("  gate memo:       %d lookups, %d hits\n", lookups, gateHits)
+	fmt.Printf("  weight table:     %d representatives\n", e.WeightTableSize())
 }
 
 func fatal(err error) {

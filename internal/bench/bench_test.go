@@ -440,7 +440,7 @@ func TestTimeRepsKeepMatchingCell(t *testing.T) {
 // be identical between a serial and a parallel sweep of the same cells.
 func deterministicCell(c CellMetrics) CellMetrics {
 	c.Seconds = 0
-	c.GCPauseSeconds = 0
+	c.GCPauseNS = 0
 	return c
 }
 

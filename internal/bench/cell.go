@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
+	"repro/internal/dd"
 	"repro/internal/obs"
 )
 
@@ -19,20 +21,8 @@ type CellMetrics struct {
 	Valid   bool
 	Seconds float64
 
-	MatVecMuls uint64
-	MatMatMuls uint64
-	// MulRecursions counts multiplication-kernel recursion steps;
-	// IdentitySkipsMV/MM the identity short-circuits taken inside them.
-	// Their ratio is the identity-aware kernels' effect per cell.
-	MulRecursions   uint64
-	IdentitySkipsMV uint64
-	IdentitySkipsMM uint64
-	CacheLookups    uint64
-	CacheHits       uint64
-	NodesCreated    uint64
-
-	GCs            uint64
-	GCPauseSeconds float64
+	// EngineCounters are the run's engine-counter totals.
+	obs.EngineCounters
 
 	PeakNodes  int
 	Fallbacks  int
@@ -79,34 +69,37 @@ func (s *runEndCapture) cell(seconds float64) CellMetrics {
 	}
 	e := s.ev
 	return CellMetrics{
-		Valid:           true,
-		Seconds:         seconds,
-		MatVecMuls:      e.MatVecMuls,
-		MatMatMuls:      e.MatMatMuls,
-		MulRecursions:   e.MulRecursions,
-		IdentitySkipsMV: e.IdentitySkipsMV,
-		IdentitySkipsMM: e.IdentitySkipsMM,
-		CacheLookups:    e.CacheLookups,
-		CacheHits:       e.CacheHits,
-		NodesCreated:    e.NodesCreated,
-		GCs:             e.GCs,
-		GCPauseSeconds:  float64(e.GCPauseNS) / 1e9,
-		PeakNodes:       e.PeakNodes,
-		Fallbacks:       e.Fallbacks,
-		StateNodes:      e.StateNodes,
-		Degradations:    e.Degradations,
-		FidelityBound:   e.FidelityBound,
-		Abort:           e.Abort,
+		Valid:          true,
+		Seconds:        seconds,
+		EngineCounters: e.EngineCounters,
+		PeakNodes:      e.PeakNodes,
+		Fallbacks:      e.Fallbacks,
+		StateNodes:     e.StateNodes,
+		Degradations:   e.Degradations,
+		FidelityBound:  e.FidelityBound,
+		Abort:          e.Abort,
 	}
 }
 
 // metricsCSVHeader is the long-format per-cell telemetry schema shared
-// by the sweep experiments.
-const metricsCSVHeader = "workload,param,seconds,mark," +
-	"matvec_muls,matmat_muls,mul_recursions,identity_skips_mv,identity_skips_mm," +
-	"cache_lookups,cache_hits,cache_hit_rate," +
-	"nodes_created,gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes," +
-	"degradations,fidelity_bound\n"
+// by the sweep experiments: one column per dd step counter, then the
+// run-level columns.
+var metricsCSVHeader = "workload,param,seconds,mark," +
+	strings.Join(stepColumns(func(i int) string { return dd.StepCounters[i].Name }, "cache_hit_rate"), ",") +
+	",gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes,degradations,fidelity_bound\n"
+
+// stepColumns renders cell(i) for each dd.StepCounters row, with rate,
+// the derived cache hit rate, right after cache_hits.
+func stepColumns(cell func(i int) string, rate string) []string {
+	var out []string
+	for i, c := range dd.StepCounters {
+		out = append(out, cell(i))
+		if c.Name == "cache_hits" {
+			out = append(out, rate)
+		}
+	}
+	return out
+}
 
 func appendMetricsRow(sb *strings.Builder, workload, param, mark string, c CellMetrics) {
 	if !c.Valid {
@@ -120,11 +113,11 @@ func appendMetricsRow(sb *strings.Builder, workload, param, mark string, c CellM
 	if c.FidelityBound > 0 {
 		bound = fmt.Sprintf("%.6g", c.FidelityBound)
 	}
-	fmt.Fprintf(sb, "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d,%s,%d,%d,%d,%d,%s\n",
+	counters := stepColumns(func(i int) string { return strconv.FormatUint(*c.Step(i), 10) }, rate)
+	fmt.Fprintf(sb, "%s,%s,%s,%s,%s,%d,%s,%d,%d,%d,%d,%s\n",
 		csvEscape(workload), csvEscape(param), csvFloat(c.Seconds), mark,
-		c.MatVecMuls, c.MatMatMuls, c.MulRecursions, c.IdentitySkipsMV, c.IdentitySkipsMM,
-		c.CacheLookups, c.CacheHits, rate,
-		c.NodesCreated, c.GCs, csvFloat(c.GCPauseSeconds),
+		strings.Join(counters, ","),
+		c.GCs, csvFloat(float64(c.GCPauseNS)/1e9),
 		c.PeakNodes, c.Fallbacks, c.StateNodes,
 		c.Degradations, bound)
 }

@@ -110,7 +110,7 @@ func TestEngineStatsCarriesPeakAndFallbacks(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	for _, r := range rows {
-		if r.PeakNodes <= 0 {
+		if r.PeakVNodes+r.PeakMNodes <= 0 {
 			t.Fatalf("row %s/%s has no peak nodes", r.Workload, r.Strategy)
 		}
 	}

@@ -10,28 +10,14 @@ import (
 	"repro/internal/dd"
 )
 
-// EngineStatsRow is one workload×strategy run with the engine's cache
-// and memory-layer counters snapshotted after the simulation.
+// EngineStatsRow is one workload×strategy run with the engine's
+// counters snapshotted after the simulation.
 type EngineStatsRow struct {
 	Workload string
 	Strategy string
 	Seconds  float64
-
-	AddV, AddM, MulMV, MulMM dd.CacheStats
-
-	// MulRecursions counts multiplication-kernel recursion steps;
-	// IdentitySkips the identity short-circuits taken (mat-vec +
-	// mat-mat) and IdentitySkipLevels the recursion levels they avoided.
-	MulRecursions      uint64
-	IdentitySkips      uint64
-	IdentitySkipLevels uint64
-
-	NodesCreated  uint64
-	NodesRecycled uint64
-	GCs           uint64
-	GCPause       time.Duration
-	PeakNodes     int
-	Fallbacks     int
+	dd.Stats
+	Fallbacks int
 }
 
 // EngineStats runs a small workload mix under each strategy family with
@@ -68,24 +54,12 @@ func EngineStats(cfg Config) ([]EngineStatsRow, error) {
 				}
 				return nil, fmt.Errorf("bench: enginestats: %s/%s: %w", w.Name, st.Name(), err)
 			}
-			s := e.Stats()
 			rows = append(rows, EngineStatsRow{
-				Workload:           w.Name,
-				Strategy:           st.Name(),
-				Seconds:            elapsed,
-				AddV:               s.AddV,
-				AddM:               s.AddM,
-				MulMV:              s.MulMV,
-				MulMM:              s.MulMM,
-				MulRecursions:      s.MulRecursions,
-				IdentitySkips:      s.IdentitySkipsMV + s.IdentitySkipsMM,
-				IdentitySkipLevels: s.IdentitySkipLevels,
-				NodesCreated:       s.NodesCreated,
-				NodesRecycled:      s.NodesRecycled,
-				GCs:                s.GCs,
-				GCPause:            s.GCPause,
-				PeakNodes:          s.PeakVNodes + s.PeakMNodes,
-				Fallbacks:          cap.cell(elapsed).Fallbacks,
+				Workload:  w.Name,
+				Strategy:  st.Name(),
+				Seconds:   elapsed,
+				Stats:     e.Stats(),
+				Fallbacks: cap.cell(elapsed).Fallbacks,
 			})
 		}
 	}
@@ -105,9 +79,9 @@ func RenderEngineStats(rows []EngineStatsRow) string {
 		fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10d %9d %12d %12d %5d %10s %9d %5d\n",
 			r.Workload, r.Strategy,
 			fmtRate(r.AddV), fmtRate(r.AddM), fmtRate(r.MulMV), fmtRate(r.MulMM),
-			r.MulRecursions, r.IdentitySkips,
+			r.MulRecursions, r.IdentitySkipsMV+r.IdentitySkipsMM,
 			r.NodesCreated, r.NodesRecycled, r.GCs, r.GCPause.Round(time.Microsecond),
-			r.PeakNodes, r.Fallbacks)
+			r.PeakVNodes+r.PeakMNodes, r.Fallbacks)
 	}
 	return sb.String()
 }
@@ -132,9 +106,9 @@ func EngineStatsCSV(rows []EngineStatsRow) string {
 			csvEscape(r.Workload), csvEscape(r.Strategy), csvFloat(r.Seconds),
 			r.AddV.Lookups, r.AddV.Hits, r.AddM.Lookups, r.AddM.Hits,
 			r.MulMV.Lookups, r.MulMV.Hits, r.MulMM.Lookups, r.MulMM.Hits,
-			r.MulRecursions, r.IdentitySkips, r.IdentitySkipLevels,
+			r.MulRecursions, r.IdentitySkipsMV+r.IdentitySkipsMM, r.IdentitySkipLevels,
 			r.NodesCreated, r.NodesRecycled, r.GCs, csvFloat(r.GCPause.Seconds()),
-			r.PeakNodes, r.Fallbacks)
+			r.PeakVNodes+r.PeakMNodes, r.Fallbacks)
 	}
 	return sb.String()
 }

@@ -257,6 +257,9 @@ func (t *Table) Stats() (hits, misses uint64) {
 	return t.hits, t.misses
 }
 
+// ResetStats zeroes the hit and miss counts; the representatives stay.
+func (t *Table) ResetStats() { t.hits, t.misses = 0, 0 }
+
 // Reset discards all representatives and statistics.
 func (t *Table) Reset() {
 	t.slots = nil

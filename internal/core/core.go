@@ -577,11 +577,11 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	// delta is carried plus the current engine's growth, and Result.Stats
 	// stays cumulative relative to the pre-run snapshot (bit-identical to
 	// the current engine's own stats when no swap happened).
-	runDelta := statsSum(r.carried, statsDelta(r.eng.Stats(), r.statsBase))
+	runDelta := r.carried.Add(r.eng.Stats().Sub(r.statsBase))
 	res := &Result{
 		State:        r.v,
 		Engine:       r.eng,
-		Stats:        statsSum(statsBefore, runDelta),
+		Stats:        statsBefore.Add(runDelta),
 		Duration:     time.Since(start),
 		MatVecSteps:  int(runDelta.MatVecMuls),
 		MatMatSteps:  int(runDelta.MatMatMuls),
@@ -604,7 +604,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		if sz < 0 {
 			sz = r.eng.SizeV(r.v)
 		}
-		ro.finish(r.applied, sz, r.fallbacks, len(res.Degradations), res.FidelityBound, err)
+		ro.finish(r.applied, sz, r.fallbacks, len(res.Degradations), res.FidelityBound, runDelta, err)
 	}
 	if err != nil {
 		return res, err

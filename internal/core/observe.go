@@ -28,25 +28,18 @@ type runObserver struct {
 	total   int
 	applied int // gate index of the last emitted step
 
-	startStats dd.Stats // engine snapshot at run start (run totals)
-	prev       dd.Stats // snapshot at the previous step boundary (deltas)
-	// carried holds counter contributions of engines retired by
-	// corruption repairs, so run_end totals span all engines the run
-	// touched.
-	carried dd.Stats
+	prev dd.Stats // engine snapshot at the previous step boundary (deltas)
 }
 
 // runMetrics holds the instruments a run updates. Names are stable API
 // (documented in DESIGN.md); re-registering on a shared registry
 // returns the same instruments, so sweeps aggregate across runs.
 type runMetrics struct {
-	steps, matvec, matmat    *obs.Counter
-	mulRecursions            *obs.Counter
-	identitySkipsMV          *obs.Counter
-	identitySkipsMM          *obs.Counter
-	cacheLookups, cacheHits  *obs.Counter
+	steps *obs.Counter
+	// engine holds dd_<name>_total for each dd.StepCounters row, in
+	// table order.
+	engine                   []*obs.Counter
 	cacheInvalidations       *obs.Counter
-	nodesCreated             *obs.Counter
 	gcs, fallbacks, aborts   *obs.Counter
 	checkpoints              *obs.Counter
 	verifications            *obs.Counter
@@ -74,17 +67,21 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 	nodeBuckets := obs.ExponentialBuckets(1, 4, 12)
 	latBuckets := obs.ExponentialBuckets(1e-6, 4, 12)
 	gcBuckets := obs.ExponentialBuckets(1e-6, 4, 10)
+	steps := r.Counter("dd_steps_total", "Applied operations (top-level matrix-vector steps).")
+	var engine []*obs.Counter
+	var invalidations *obs.Counter
+	for _, c := range dd.StepCounters {
+		engine = append(engine, r.Counter("dd_"+c.Name+"_total", c.Help))
+		if c.Name == "cache_hits" {
+			// Registration order is exposition order: the invalidations
+			// family has always followed the cache families.
+			invalidations = r.Counter("dd_cache_invalidations_total", "Compute-cache invalidations (GC, aborts, explicit clears).")
+		}
+	}
 	return &runMetrics{
-		steps:              r.Counter("dd_steps_total", "Applied operations (top-level matrix-vector steps)."),
-		matvec:             r.Counter("dd_matvec_muls_total", "Top-level matrix-vector multiplications (Eq. 1 cost)."),
-		matmat:             r.Counter("dd_matmat_muls_total", "Top-level matrix-matrix multiplications (Eq. 2 cost)."),
-		mulRecursions:      r.Counter("dd_mul_recursions_total", "Multiplication-kernel recursion steps (mat-vec and mat-mat)."),
-		identitySkipsMV:    r.Counter("dd_identity_skips_mv_total", "Identity short-circuits taken in matrix-vector multiplications."),
-		identitySkipsMM:    r.Counter("dd_identity_skips_mm_total", "Identity short-circuits taken in matrix-matrix multiplications."),
-		cacheLookups:       r.Counter("dd_cache_lookups_total", "Compute-cache lookups across all four caches."),
-		cacheHits:          r.Counter("dd_cache_hits_total", "Compute-cache hits across all four caches."),
-		cacheInvalidations: r.Counter("dd_cache_invalidations_total", "Compute-cache invalidations (GC, aborts, explicit clears)."),
-		nodesCreated:       r.Counter("dd_nodes_created_total", "Fresh DD nodes interned into the unique tables."),
+		steps:              steps,
+		engine:             engine,
+		cacheInvalidations: invalidations,
 		gcs:                r.Counter("dd_gc_total", "Engine garbage collections."),
 		fallbacks:          r.Counter("dd_fallbacks_total", "Budget aborts degraded to sequential replay."),
 		aborts:             r.Counter("dd_aborts_total", "Runs aborted (deadline, budget, cancellation, injection, panic)."),
@@ -145,8 +142,7 @@ func (o *runObserver) runStart(c *circuit.Circuit, startGate int) {
 	o.circuit = c.Name
 	o.total = len(c.Gates)
 	o.applied = startGate
-	o.startStats = o.eng.Stats()
-	o.prev = o.startStats
+	o.prev = o.eng.Stats()
 	o.emit(obs.Event{Kind: obs.KindRunStart, Gate: startGate, Circuit: c.Name, TotalGates: o.total})
 }
 
@@ -179,45 +175,44 @@ func (o *runObserver) step(si stepInfo) {
 		})
 	}
 	cur := o.eng.Stats()
-	d := obs.Event{
-		Kind:            obs.KindStep,
-		Gate:            si.gate,
-		WallNS:          si.wall.Nanoseconds(),
-		Combined:        si.combined,
-		OpNodes:         si.opNodes,
-		StateNodes:      si.stateNodes,
-		MatVecMuls:      cur.MatVecMuls - o.prev.MatVecMuls,
-		MatMatMuls:      cur.MatMatMuls - o.prev.MatMatMuls,
-		MulRecursions:   cur.MulRecursions - o.prev.MulRecursions,
-		IdentitySkipsMV: cur.IdentitySkipsMV - o.prev.IdentitySkipsMV,
-		IdentitySkipsMM: cur.IdentitySkipsMM - o.prev.IdentitySkipsMM,
-		CacheLookups:    cur.CacheLookups - o.prev.CacheLookups,
-		CacheHits:       cur.CacheHits - o.prev.CacheHits,
-		NodesCreated:    cur.NodesCreated - o.prev.NodesCreated,
-		GCs:             cur.GCs - o.prev.GCs,
-		GCPauseNS:       (cur.GCPause - o.prev.GCPause).Nanoseconds(),
-		Fallback:        si.fallback,
-		FromBlock:       si.fromBlock,
-		Block:           si.block,
-		BlockReuse:      si.reuse,
-	}
+	delta := cur.Sub(o.prev)
 	o.prev = cur
 	if m := o.met; m != nil {
 		m.steps.Inc()
-		m.matvec.Add(d.MatVecMuls)
-		m.matmat.Add(d.MatMatMuls)
-		m.mulRecursions.Add(d.MulRecursions)
-		m.identitySkipsMV.Add(d.IdentitySkipsMV)
-		m.identitySkipsMM.Add(d.IdentitySkipsMM)
-		m.cacheLookups.Add(d.CacheLookups)
-		m.cacheHits.Add(d.CacheHits)
-		m.nodesCreated.Add(d.NodesCreated)
+		for i, c := range dd.StepCounters {
+			m.engine[i].Add(c.Value(&delta))
+		}
 		m.stepSeconds.Observe(si.wall.Seconds())
 		m.stateNodes.Observe(float64(si.stateNodes))
 		m.opNodes.Observe(float64(si.opNodes))
 		m.liveNodes.Set(int64(o.eng.VNodeCount() + o.eng.MNodeCount()))
 	}
-	o.emit(d)
+	o.emit(obs.Event{
+		Kind:           obs.KindStep,
+		Gate:           si.gate,
+		WallNS:         si.wall.Nanoseconds(),
+		Combined:       si.combined,
+		OpNodes:        si.opNodes,
+		StateNodes:     si.stateNodes,
+		EngineCounters: eventCounters(&delta),
+		Fallback:       si.fallback,
+		FromBlock:      si.fromBlock,
+		Block:          si.block,
+		BlockReuse:     si.reuse,
+	})
+}
+
+// eventCounters projects a Stats delta onto an event's engine counters:
+// the dd.StepCounters rows plus the GC activity, which the obs layer
+// also reports per collection.
+func eventCounters(d *dd.Stats) obs.EngineCounters {
+	var ec obs.EngineCounters
+	for i, c := range dd.StepCounters {
+		*ec.Step(i) = c.Value(d)
+	}
+	ec.GCs = d.GCs
+	ec.GCPauseNS = d.GCPause.Nanoseconds()
+	return ec
 }
 
 func (o *runObserver) fallback(gate, gates int) {
@@ -335,18 +330,16 @@ func (o *runObserver) repairEv(gate, replayed int, check string) {
 }
 
 // engineSwapped re-points the observer at the fresh engine after a
-// corruption repair, folding the retired engine's counters into the
-// carried totals so run_end still reports the whole run.
-func (o *runObserver) engineSwapped(old dd.Stats, fresh *dd.Engine) {
-	o.carried = statsSum(o.carried, statsDelta(old, o.startStats))
+// corruption repair; fresh engines count from zero.
+func (o *runObserver) engineSwapped(fresh *dd.Engine) {
 	o.eng = fresh
-	o.startStats = dd.Stats{} // fresh engines count from zero
 	o.prev = dd.Stats{}
 }
 
 // finish emits the abort event (for failed runs) and the closing
-// run_end event carrying the run totals.
-func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, fidelityBound float64, err error) {
+// run_end event carrying the run totals: totals is the run's counter
+// delta across every engine it touched.
+func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, fidelityBound float64, totals dd.Stats, err error) {
 	abort := ""
 	var re *RunError
 	if errors.As(err, &re) {
@@ -356,31 +349,21 @@ func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, f
 		}
 		o.emit(obs.Event{Kind: obs.KindAbort, Gate: re.GateIndex, Abort: abort})
 	}
-	totals := statsSum(o.carried, statsDelta(o.eng.Stats(), o.startStats))
 	o.emit(obs.Event{
-		Kind:            obs.KindRunEnd,
-		Gate:            applied,
-		Circuit:         o.circuit,
-		TotalGates:      o.total,
-		WallNS:          time.Since(o.started).Nanoseconds(),
-		StateNodes:      stateNodes,
-		MatVecMuls:      totals.MatVecMuls,
-		MatMatMuls:      totals.MatMatMuls,
-		MulRecursions:   totals.MulRecursions,
-		IdentitySkipsMV: totals.IdentitySkipsMV,
-		IdentitySkipsMM: totals.IdentitySkipsMM,
-		CacheLookups:    totals.CacheLookups,
-		CacheHits:       totals.CacheHits,
-		NodesCreated:    totals.NodesCreated,
-		GCs:             totals.GCs,
-		GCPauseNS:       totals.GCPause.Nanoseconds(),
-		PeakNodes:       totals.PeakVNodes + totals.PeakMNodes,
-		Fallbacks:       fallbacks,
-		Abort:           abort,
-		Swaps:           totals.ReorderSwaps,
-		SiftPasses:      totals.SiftPasses,
-		Degradations:    degradations,
-		FidelityBound:   runEndFidelity(degradations, fidelityBound),
+		Kind:           obs.KindRunEnd,
+		Gate:           applied,
+		Circuit:        o.circuit,
+		TotalGates:     o.total,
+		WallNS:         time.Since(o.started).Nanoseconds(),
+		StateNodes:     stateNodes,
+		EngineCounters: eventCounters(&totals),
+		PeakNodes:      totals.PeakVNodes + totals.PeakMNodes,
+		Fallbacks:      fallbacks,
+		Abort:          abort,
+		Swaps:          totals.ReorderSwaps,
+		SiftPasses:     totals.SiftPasses,
+		Degradations:   degradations,
+		FidelityBound:  runEndFidelity(degradations, fidelityBound),
 	})
 }
 
@@ -412,10 +395,10 @@ func (o *runObserver) ObserveGC(gi dd.GCInfo) {
 		o.met.liveNodes.Set(int64(gi.VLive + gi.MLive))
 	}
 	o.emit(obs.Event{
-		Kind:      obs.KindGC,
-		Gate:      o.applied,
-		GCPauseNS: gi.Pause.Nanoseconds(),
-		GCFreed:   gi.Freed,
+		Kind:           obs.KindGC,
+		Gate:           o.applied,
+		EngineCounters: obs.EngineCounters{GCPauseNS: gi.Pause.Nanoseconds()},
+		GCFreed:        gi.Freed,
 	})
 }
 

@@ -281,7 +281,7 @@ func (r *runner) attemptRepair(check string, ierr error) error {
 func (r *runner) swapEngine(fresh *dd.Engine) {
 	old := r.eng
 	oldStats := old.Stats()
-	r.carried = statsSum(r.carried, statsDelta(oldStats, r.statsBase))
+	r.carried = r.carried.Add(oldStats.Sub(r.statsBase))
 	r.statsBase = dd.Stats{}
 
 	old.SetDeadline(time.Time{})
@@ -297,7 +297,7 @@ func (r *runner) swapEngine(fresh *dd.Engine) {
 	}
 	if r.obs != nil {
 		old.SetObserver(nil)
-		r.obs.engineSwapped(oldStats, fresh)
+		r.obs.engineSwapped(fresh)
 		fresh.SetObserver(r.obs)
 	}
 	r.eng = fresh
@@ -309,86 +309,4 @@ func (r *runner) swapEngine(fresh *dd.Engine) {
 	if rb, ok := r.opt.Strategy.(runBound); ok {
 		rb.bindRun(fresh, r.c, r.next)
 	}
-}
-
-// statsDelta returns the counter growth from base to cur (snapshots of
-// the same engine, cur later). Peak fields are maxima, not counters:
-// the delta carries cur's value and statsSum resolves by max.
-func statsDelta(cur, base dd.Stats) dd.Stats {
-	d := cur
-	d.MatVecMuls -= base.MatVecMuls
-	d.MatMatMuls -= base.MatMatMuls
-	d.AddRecursions -= base.AddRecursions
-	d.MulRecursions -= base.MulRecursions
-	d.IdentitySkipsMV -= base.IdentitySkipsMV
-	d.IdentitySkipsMM -= base.IdentitySkipsMM
-	d.IdentitySkipLevels -= base.IdentitySkipLevels
-	d.CacheHits -= base.CacheHits
-	d.CacheLookups -= base.CacheLookups
-	d.AddV.Lookups -= base.AddV.Lookups
-	d.AddV.Hits -= base.AddV.Hits
-	d.AddM.Lookups -= base.AddM.Lookups
-	d.AddM.Hits -= base.AddM.Hits
-	d.MulMV.Lookups -= base.MulMV.Lookups
-	d.MulMV.Hits -= base.MulMV.Hits
-	d.MulMM.Lookups -= base.MulMM.Lookups
-	d.MulMM.Hits -= base.MulMM.Hits
-	d.NodesCreated -= base.NodesCreated
-	d.NodesRecycled -= base.NodesRecycled
-	d.GCs -= base.GCs
-	d.GCPause -= base.GCPause
-	d.Aborts -= base.Aborts
-	d.FaultsInjected -= base.FaultsInjected
-	d.DeadlineClockReads -= base.DeadlineClockReads
-	d.ReorderSwaps -= base.ReorderSwaps
-	d.SiftPasses -= base.SiftPasses
-	return d
-}
-
-// statsSum accumulates two stat deltas (or a base snapshot plus a
-// delta): counters add, peaks and maximum pauses take the max.
-func statsSum(a, b dd.Stats) dd.Stats {
-	s := a
-	s.MatVecMuls += b.MatVecMuls
-	s.MatMatMuls += b.MatMatMuls
-	s.AddRecursions += b.AddRecursions
-	s.MulRecursions += b.MulRecursions
-	s.IdentitySkipsMV += b.IdentitySkipsMV
-	s.IdentitySkipsMM += b.IdentitySkipsMM
-	s.IdentitySkipLevels += b.IdentitySkipLevels
-	s.CacheHits += b.CacheHits
-	s.CacheLookups += b.CacheLookups
-	s.AddV.Lookups += b.AddV.Lookups
-	s.AddV.Hits += b.AddV.Hits
-	s.AddM.Lookups += b.AddM.Lookups
-	s.AddM.Hits += b.AddM.Hits
-	s.MulMV.Lookups += b.MulMV.Lookups
-	s.MulMV.Hits += b.MulMV.Hits
-	s.MulMM.Lookups += b.MulMM.Lookups
-	s.MulMM.Hits += b.MulMM.Hits
-	s.NodesCreated += b.NodesCreated
-	s.NodesRecycled += b.NodesRecycled
-	s.GCs += b.GCs
-	s.GCPause += b.GCPause
-	s.Aborts += b.Aborts
-	s.FaultsInjected += b.FaultsInjected
-	s.DeadlineClockReads += b.DeadlineClockReads
-	s.ReorderSwaps += b.ReorderSwaps
-	s.SiftPasses += b.SiftPasses
-	if b.GCMaxPause > s.GCMaxPause {
-		s.GCMaxPause = b.GCMaxPause
-	}
-	if b.PeakVNodes > s.PeakVNodes {
-		s.PeakVNodes = b.PeakVNodes
-	}
-	if b.PeakMNodes > s.PeakMNodes {
-		s.PeakMNodes = b.PeakMNodes
-	}
-	if b.PeakVectorSize > s.PeakVectorSize {
-		s.PeakVectorSize = b.PeakVectorSize
-	}
-	if b.PeakMatrixSize > s.PeakMatrixSize {
-		s.PeakMatrixSize = b.PeakMatrixSize
-	}
-	return s
 }

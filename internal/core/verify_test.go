@@ -212,10 +212,13 @@ func TestRepairEmitsEvents(t *testing.T) {
 			t.Skip("fault injection did not arm (chaos disabled)")
 		}
 		ring := obs.NewRing(2048)
+		pre := eng.Stats()
 		res, err := Run(c, Options{Engine: eng, VerifyEvery: 1, EventSink: ring, Metrics: reg})
 		if err != nil || res.Repairs == 0 {
 			continue
 		}
+		// The run_end totals span both engines, like Result.Stats.
+		checkRunEndTotals(t, runEndOf(t, ring.Events()), pre, res.Stats)
 		var verifies, fails, repairs int
 		for _, e := range ring.Events() {
 			switch e.Kind {

@@ -413,14 +413,15 @@ func TestWeightStats(t *testing.T) {
 	e := New()
 	rng := rand.New(rand.NewSource(8))
 	e.MulVec(e.GateDD(randUnitary(rng), 4, 1, nil), e.FromVector(randState(rng, 4)))
-	hits, misses := e.WeightStats()
+	s := e.Stats()
+	hits, misses := s.WeightHits, s.WeightMisses
 	if misses == 0 || misses != uint64(e.WeightTableSize()) {
 		t.Fatalf("misses = %d, want the %d stored representatives", misses, e.WeightTableSize())
 	}
 	w := e.Weight(complex(0.3, -0.4))
 	e.Weight(w + complex(cnum.Tol/4, 0))
-	if h, m := e.WeightStats(); h != hits+1 || m != misses+1 {
-		t.Fatalf("after one new value and one near it: (hits, misses) = (%d, %d), want (%d, %d)", h, m, hits+1, misses+1)
+	if s := e.Stats(); s.WeightHits != hits+1 || s.WeightMisses != misses+1 {
+		t.Fatalf("after one new value and one near it: (hits, misses) = (%d, %d), want (%d, %d)", s.WeightHits, s.WeightMisses, hits+1, misses+1)
 	}
 }
 
@@ -761,9 +762,18 @@ func TestStatsCounters(t *testing.T) {
 	if s.MatVecMuls != 1 || s.MatMatMuls != 1 {
 		t.Fatalf("mul counters = (%d,%d), want (1,1)", s.MatVecMuls, s.MatMatMuls)
 	}
+	// ResetStats must reach every counter, the gate-memo and weight-table
+	// ones included.
+	for i := 0; i < 3; i++ {
+		_ = e.MulVec(e.GateDD(gH, 3, 0, nil), v)
+	}
+	e.Weight(complex(0.3, -0.4))
+	if s := e.Stats(); s.GateHits == 0 || s.WeightMisses == 0 {
+		t.Fatalf("gate-memo / weight-table counters not exercised: %+v", s)
+	}
 	e.ResetStats()
-	if e.Stats().MatVecMuls != 0 {
-		t.Fatal("ResetStats did not clear counters")
+	if s := e.Stats(); s != (Stats{}) {
+		t.Fatalf("ResetStats left counters: %+v", s)
 	}
 }
 

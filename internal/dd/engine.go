@@ -53,14 +53,11 @@ type Engine struct {
 	ctlBuf []ctlKind
 
 	// gateTab memoises gate DDs under the cache generation (see
-	// gateSlot); gateLookups/gateHits count its probes. foreign counts
-	// weight lookups that returned a representative other than their
-	// query, which GateDD reads to decide whether a build may be
-	// memoised.
-	gateTab     []gateSlot
-	gateLookups uint64
-	gateHits    uint64
-	foreign     uint64
+	// gateSlot). foreign counts weight lookups that returned a
+	// representative other than their query, which GateDD reads to
+	// decide whether a build may be memoised.
+	gateTab []gateSlot
+	foreign uint64
 
 	// strategyScratch is an opaque slot for strategy state that should
 	// live as long as the simulation does (see StrategyScratch). The
@@ -235,6 +232,8 @@ func (c CacheStats) HitRate() float64 {
 
 // Stats accumulates operation counters of an Engine. The multiplication
 // counters are the quantities the paper trades against each other.
+// Every numeric field has exactly one row in the counter table
+// (Counters).
 type Stats struct {
 	MatVecMuls    uint64 // top-level matrix-vector multiplications
 	MatMatMuls    uint64 // top-level matrix-matrix multiplications
@@ -261,6 +260,16 @@ type Stats struct {
 	AddM  CacheStats
 	MulMV CacheStats
 	MulMM CacheStats
+
+	// GateLookups counts GateDD calls that probed the gate memo and
+	// GateHits those it answered without building. WeightHits and
+	// WeightMisses count weight-table lookups that found an existing
+	// representative or registered a new one (exact zero and one
+	// short-circuits count in neither); Stats() fills them in.
+	GateLookups  uint64
+	GateHits     uint64
+	WeightHits   uint64
+	WeightMisses uint64
 
 	NodesCreated  uint64
 	NodesRecycled uint64 // dead nodes returned to the arena free lists by GC
@@ -405,16 +414,21 @@ func (e *Engine) SetIdentitySkip(enabled bool) { e.noIdentitySkip = !enabled }
 func (e *Engine) IdentitySkipEnabled() bool { return !e.noIdentitySkip }
 
 // Stats returns a snapshot of the engine's counters, with the aggregate
-// cache fields derived from the per-cache ones.
+// cache fields derived from the per-cache ones and the weight-table
+// counters read from the value table.
 func (e *Engine) Stats() Stats {
 	s := e.stats
 	s.CacheHits = s.AddV.Hits + s.AddM.Hits + s.MulMV.Hits + s.MulMM.Hits
 	s.CacheLookups = s.AddV.Lookups + s.AddM.Lookups + s.MulMV.Lookups + s.MulMM.Lookups
+	s.WeightHits, s.WeightMisses = e.weights.Stats()
 	return s
 }
 
 // ResetStats zeroes all counters (table contents are preserved).
-func (e *Engine) ResetStats() { e.stats = Stats{} }
+func (e *Engine) ResetStats() {
+	e.stats = Stats{}
+	e.weights.ResetStats()
+}
 
 // MemStats returns a snapshot of unique-table and arena occupancy.
 func (e *Engine) MemStats() MemStats {
@@ -464,15 +478,6 @@ func (e *Engine) Weight(c complex128) complex128 { return e.weights.Lookup(c) }
 
 // WeightTableSize returns the number of canonical complex representatives.
 func (e *Engine) WeightTableSize() int { return e.weights.Size() }
-
-// WeightStats returns how many weight-table lookups found an existing
-// representative (hits) and how many registered a new one (misses).
-// Exact zero and one short-circuits count in neither.
-func (e *Engine) WeightStats() (hits, misses uint64) { return e.weights.Stats() }
-
-// GateStats returns how many GateDD calls probed the gate memo
-// (lookups) and how many it answered without building (hits).
-func (e *Engine) GateStats() (lookups, hits uint64) { return e.gateLookups, e.gateHits }
 
 // makeVNode hash-conses a vector node with the given children. The
 // normalisation rule divides out the largest-magnitude edge weight

@@ -54,9 +54,9 @@ func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) M
 		k.u[i+4] = math.Float64bits(imag(u[i/2][i%2]))
 	}
 	s := &e.gateTab[k.hash()&gateMask]
-	e.gateLookups++
+	e.stats.GateLookups++
 	if s.gen == e.cacheGen && s.key == k {
-		e.gateHits++
+		e.stats.GateHits++
 		return s.r
 	}
 	foreign := e.foreign

@@ -24,9 +24,9 @@ func buildUncached(e *Engine, u [2][2]complex128, n, target int, controls []Cont
 // the call was answered by the memo.
 func checkGate(t *testing.T, e *Engine, u [2][2]complex128, n, target int, controls []Control) (MEdge, bool) {
 	t.Helper()
-	_, hits := e.GateStats()
+	hits := e.stats.GateHits
 	got := e.GateDD(u, n, target, controls)
-	_, hits2 := e.GateStats()
+	hits2 := e.stats.GateHits
 	created := e.stats.NodesCreated
 	want := buildUncached(e, u, n, target, controls)
 	if got.N != want.N {
@@ -144,10 +144,10 @@ func TestGateMemoWideRegisterBypasses(t *testing.T) {
 		if target == 64 {
 			cs = []Control{Neg(2), Pos(63)}
 		}
-		lookups, _ := e.GateStats()
+		lookups := e.stats.GateLookups
 		checkGate(t, e, gH, 65, target, cs)
 		checkGate(t, e, gH, 65, target, cs)
-		if l, _ := e.GateStats(); l != lookups {
+		if l := e.stats.GateLookups; l != lookups {
 			t.Fatalf("n = 65 probed the memo (%d lookups)", l-lookups)
 		}
 	}
@@ -259,7 +259,7 @@ func TestGateMemoValidatesOnHit(t *testing.T) {
 	e := New()
 	e.GateDD(gX, 4, 1, []Control{Pos(2), Neg(3)})
 	e.GateDD(gX, 4, 1, []Control{Pos(2), Neg(3)})
-	if _, hits := e.GateStats(); hits != 1 {
+	if hits := e.stats.GateHits; hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 	for name, cs := range map[string][]Control{

@@ -21,6 +21,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 )
 
@@ -152,22 +153,8 @@ type Event struct {
 	VLive int `json:"v_live,omitempty"`
 	MLive int `json:"m_live,omitempty"`
 
-	// Top-level multiplication counts (the paper's Eq. 1 vs Eq. 2
-	// trade) and engine cache/allocation/GC activity.
-	MatVecMuls uint64 `json:"matvec_muls,omitempty"`
-	MatMatMuls uint64 `json:"matmat_muls,omitempty"`
-	// MulRecursions counts multiplication-kernel recursion steps and
-	// IdentitySkipsMV/MM the identity short-circuits taken inside them
-	// (see dd.Stats); together they show how much recursion the
-	// identity-aware kernels avoided per step / per run.
-	MulRecursions   uint64 `json:"mul_recursions,omitempty"`
-	IdentitySkipsMV uint64 `json:"identity_skips_mv,omitempty"`
-	IdentitySkipsMM uint64 `json:"identity_skips_mm,omitempty"`
-	CacheLookups    uint64 `json:"cache_lookups,omitempty"`
-	CacheHits       uint64 `json:"cache_hits,omitempty"`
-	NodesCreated    uint64 `json:"nodes_created,omitempty"`
-	GCs             uint64 `json:"gcs,omitempty"`
-	GCPauseNS       int64  `json:"gc_pause_ns,omitempty"`
+	EngineCounters
+
 	// GCFreed is the number of nodes reclaimed (KindGC only).
 	GCFreed int `json:"gc_freed,omitempty"`
 
@@ -218,6 +205,35 @@ type Event struct {
 	Fidelity      float64 `json:"fidelity,omitempty"`
 	Degradations  int     `json:"degradations,omitempty"`
 	FidelityBound float64 `json:"fidelity_bound,omitempty"`
+}
+
+// EngineCounters are an Event's engine-counter fields: deltas over the
+// step on KindStep, run totals on KindRunEnd. Each JSON tag is the name
+// of the dd counter-table row the field carries.
+type EngineCounters struct {
+	// Top-level multiplication counts (the paper's Eq. 1 vs Eq. 2
+	// trade) and engine cache/allocation/GC activity.
+	MatVecMuls uint64 `json:"matvec_muls,omitempty"`
+	MatMatMuls uint64 `json:"matmat_muls,omitempty"`
+	// MulRecursions counts multiplication-kernel recursion steps and
+	// IdentitySkipsMV/MM the identity short-circuits taken inside them
+	// (see dd.Stats); together they show how much recursion the
+	// identity-aware kernels avoided per step / per run.
+	MulRecursions   uint64 `json:"mul_recursions,omitempty"`
+	IdentitySkipsMV uint64 `json:"identity_skips_mv,omitempty"`
+	IdentitySkipsMM uint64 `json:"identity_skips_mm,omitempty"`
+	CacheLookups    uint64 `json:"cache_lookups,omitempty"`
+	CacheHits       uint64 `json:"cache_hits,omitempty"`
+	NodesCreated    uint64 `json:"nodes_created,omitempty"`
+	GCs             uint64 `json:"gcs,omitempty"`
+	GCPauseNS       int64  `json:"gc_pause_ns,omitempty"`
+}
+
+// Step returns the field that carries the i-th dd.StepCounters row:
+// EngineCounters declares one field per step row first, in table order
+// and tagged with the row name, then the GC activity.
+func (c *EngineCounters) Step(i int) *uint64 {
+	return reflect.ValueOf(c).Elem().Field(i).Addr().Interface().(*uint64)
 }
 
 // Time returns the emission time as a time.Time.

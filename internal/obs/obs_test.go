@@ -61,8 +61,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	want := Event{
 		Seq: 7, Kind: KindStep, TimeUnixNano: 12345, Gate: 3,
 		WallNS: 1e6, Combined: 2, OpNodes: 5, StateNodes: 9,
-		VLive: 11, MLive: 13, MatVecMuls: 1, CacheLookups: 20,
-		CacheHits: 15, NodesCreated: 4, Fallback: true, Block: "grover-iter",
+		VLive: 11, MLive: 13, Fallback: true, Block: "grover-iter",
+		EngineCounters: EngineCounters{MatVecMuls: 1, CacheLookups: 20, CacheHits: 15, NodesCreated: 4},
 	}
 	s.Emit(want)
 	s.Emit(Event{Seq: 8, Kind: KindRunEnd, Abort: "deadline"})
@@ -110,8 +110,8 @@ func TestProgress(t *testing.T) {
 	p.Emit(Event{Kind: KindRunStart, Circuit: "grover_8", TotalGates: 100, TimeUnixNano: base.UnixNano()})
 	for i := 1; i <= 3; i++ {
 		p.Emit(Event{Kind: KindStep, Gate: i, StateNodes: 10 * i, VLive: 20,
-			CacheLookups: 10, CacheHits: 9,
-			TimeUnixNano: base.Add(time.Duration(i) * 10 * time.Millisecond).UnixNano()})
+			EngineCounters: EngineCounters{CacheLookups: 10, CacheHits: 9},
+			TimeUnixNano:   base.Add(time.Duration(i) * 10 * time.Millisecond).UnixNano()})
 	}
 	p.Emit(Event{Kind: KindFallback, Gate: 3, Combined: 4})
 	p.Emit(Event{Kind: KindRunEnd, Gate: 100, WallNS: 2e9, PeakNodes: 500})
