@@ -43,7 +43,7 @@ func fidelity(a, b []complex128) float64 {
 }
 
 // Heavy sifting rounds every touched weight through the canonical
-// table (~1e-10 per operation), so the acceptance margin is looser
+// table (up to cnum.Tol per operation), so the acceptance margin is looser
 // than verify.FidelityTol; a genuine permutation bug costs orders of
 // magnitude more.
 const siftFidelityTol = 1e-7

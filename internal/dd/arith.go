@@ -2,6 +2,7 @@ package dd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cnum"
 )
@@ -18,6 +19,9 @@ func (e *Engine) Add(a, b VEdge) VEdge {
 	return e.addV(a, b)
 }
 
+// addV computes a·x + b·y as a·(x + q·y) with q the canonical ratio b/a,
+// so the cache keys on (x, y, q) rather than on both operand weights:
+// sums that differ only by a common factor share one entry.
 func (e *Engine) addV(a, b VEdge) VEdge {
 	e.abortCheck()
 	e.stats.AddRecursions++
@@ -34,37 +38,30 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 		}
 		return VEdge{W: w, N: a.N}
 	}
-	if a.IsTerminal() && b.IsTerminal() {
-		w := e.weights.Lookup(a.W + b.W)
-		if w == cnum.Zero {
-			return VZero()
-		}
-		return VEdge{W: w, N: vTerminal}
-	}
 	if a.N.V != b.N.V {
 		panic(fmt.Sprintf("dd: Add on mismatched levels %d vs %d", a.N.V, b.N.V))
 	}
-	// Canonical operand order: addition commutes.
-	if a.N.id > b.N.id {
+	if addSwap(a.W, b.W, a.N.id, b.N.id) {
 		a, b = b, a
 	}
-	aW := e.weights.Lookup(a.W)
-	bW := e.weights.Lookup(b.W)
-	idx := mixW(mixW(mix(a.N.id, b.N.id), aW), bW) & cacheMask
+	q := e.weights.Lookup(b.W / a.W)
+	if q == cnum.Zero {
+		return a
+	}
+	x, y := a.N, b.N
+	idx := mixW(mix(x.id, y.id), q) & cacheMask
 	e.stats.AddV.Lookups++
-	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.aW == aW && s.bW == bW {
+	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && s.q == q {
 		e.stats.AddV.Hits++
-		return s.r
+		return e.scaleV(s.r, a.W)
 	}
 	var children [2]VEdge
 	for i := 0; i < 2; i++ {
-		ca := VEdge{W: aW * a.N.E[i].W, N: a.N.E[i].N}
-		cb := VEdge{W: bW * b.N.E[i].W, N: b.N.E[i].N}
-		children[i] = e.addV(ca, cb)
+		children[i] = e.addV(x.E[i], VEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
-	r := e.makeVNode(a.N.V, children[0], children[1])
-	e.addVTab[idx] = addVSlot{aN: a.N.id, bN: b.N.id, aW: aW, bW: bW, r: r, gen: e.cacheGen}
-	return r
+	r := e.makeVNode(x.V, children[0], children[1])
+	e.addVTab[idx] = addVSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	return e.scaleV(r, a.W)
 }
 
 // AddM returns the element-wise sum of two matrix diagrams.
@@ -78,6 +75,7 @@ func (e *Engine) AddM(a, b MEdge) MEdge {
 	return e.addM(a, b)
 }
 
+// addM is addV for matrices: a·(x + q·y), cached on (x, y, q).
 func (e *Engine) addM(a, b MEdge) MEdge {
 	e.abortCheck()
 	e.stats.AddRecursions++
@@ -94,36 +92,50 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 		}
 		return MEdge{W: w, N: a.N}
 	}
-	if a.IsTerminal() && b.IsTerminal() {
-		w := e.weights.Lookup(a.W + b.W)
-		if w == cnum.Zero {
-			return MZero()
-		}
-		return MEdge{W: w, N: mTerminal}
-	}
 	if a.N.V != b.N.V {
 		panic(fmt.Sprintf("dd: AddM on mismatched levels %d vs %d", a.N.V, b.N.V))
 	}
-	if a.N.id > b.N.id {
+	if addSwap(a.W, b.W, a.N.id, b.N.id) {
 		a, b = b, a
 	}
-	aW := e.weights.Lookup(a.W)
-	bW := e.weights.Lookup(b.W)
-	idx := mixW(mixW(mix(a.N.id, b.N.id), aW), bW) & cacheMask
+	q := e.weights.Lookup(b.W / a.W)
+	if q == cnum.Zero {
+		return a
+	}
+	x, y := a.N, b.N
+	idx := mixW(mix(x.id, y.id), q) & cacheMask
 	e.stats.AddM.Lookups++
-	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id && s.aW == aW && s.bW == bW {
+	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && s.q == q {
 		e.stats.AddM.Hits++
-		return s.r
+		return e.scaleM(s.r, a.W)
 	}
 	var children [4]MEdge
 	for i := 0; i < 4; i++ {
-		ca := MEdge{W: aW * a.N.E[i].W, N: a.N.E[i].N}
-		cb := MEdge{W: bW * b.N.E[i].W, N: b.N.E[i].N}
-		children[i] = e.addM(ca, cb)
+		children[i] = e.addM(x.E[i], MEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
-	r := e.makeMNode(a.N.V, children)
-	e.addMTab[idx] = addMSlot{aN: a.N.id, bN: b.N.id, aW: aW, bW: bW, r: r, gen: e.cacheGen}
-	return r
+	r := e.makeMNode(x.V, children)
+	e.addMTab[idx] = addMSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	return e.scaleM(r, a.W)
+}
+
+// addSwap reports whether the operands of a sum must swap so that the
+// first one carries the factored-out scale: the larger |w|², ties broken
+// on the weight bits. Only bit-equal weights, where x + 1·y is symmetric,
+// fall through to the node ids, which then just order the cache key. The
+// choice must never rest on ids alone: a node rebuilt after GC gets a
+// new id, and a·(x + (b/a)·y) is not symmetric in floating point the
+// way a + b is.
+func addSwap(aw, bw complex128, aid, bid uint32) bool {
+	if ma, mb := cnum.Abs2(aw), cnum.Abs2(bw); ma != mb {
+		return mb > ma
+	}
+	if ar, br := math.Float64bits(real(aw)), math.Float64bits(real(bw)); ar != br {
+		return br > ar
+	}
+	if ai, bi := math.Float64bits(imag(aw)), math.Float64bits(imag(bw)); ai != bi {
+		return bi > ai
+	}
+	return aid > bid
 }
 
 // MulVec returns the matrix-vector product m×v (Fig. 3 of the paper, a

@@ -412,10 +412,12 @@ func (e *Engine) AuditM(m MEdge) error {
 }
 
 // DefaultNormTol is the norm-drift tolerance used by the online state
-// monitor. Canonicalisation introduces up to cnum.Tol of rounding per
-// weight; over realistic circuit lengths the accumulated drift stays
-// orders of magnitude below this bound, while a single flipped mantissa
-// bit in a significant weight exceeds it.
+// monitor. Canonicalisation introduces up to cnum.Tol (1e-12) of
+// rounding per weight; over realistic circuit lengths the accumulated
+// drift stays well below this bound (after ~400 repetitions of one
+// combined Grover iterate at 18 qubits, the marked probability is within
+// 1e-7 of the analytic value), while a single flipped mantissa bit in a
+// significant weight exceeds it.
 const DefaultNormTol = 1e-6
 
 // CheckNorm is the cheap online state monitor: it reports a typed

@@ -1,6 +1,8 @@
 package dd
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"time"
@@ -130,5 +132,39 @@ func BenchmarkMulVecGate(b *testing.B) {
 		if e.VNodeCount()+e.MNodeCount() > 150_000 {
 			e.GarbageCollect([]VEdge{v}, gates)
 		}
+	}
+}
+
+// BenchmarkAddV sums two distinct 10-qubit random states, the second
+// scaled by one of 64 relative phases in turn. Each phase is a distinct
+// canonical ratio, so every sum misses the add cache at the top, and a
+// collection after each round of 64 clears the cache and frees the
+// results: every iteration walks both diagrams through the ratio-keyed
+// recursion, interning weights and building nodes. One warm-up round
+// fills the weight table and the arena first, after which CI greps the
+// benchmark for 0 allocs/op.
+func BenchmarkAddV(b *testing.B) {
+	e := New()
+	rng := rand.New(rand.NewSource(3))
+	x := e.FromVector(randState(rng, 10))
+	y := e.FromVector(randState(rng, 10))
+	ys := make([]VEdge, 64)
+	for i := range ys {
+		ys[i] = e.ScaleV(y, cmplx.Rect(1, 2*math.Pi*float64(i)/float64(len(ys))))
+	}
+	roots := append([]VEdge{x}, ys...)
+	round := func(i int) {
+		e.Add(x, ys[i&63])
+		if i&63 == 63 {
+			e.GarbageCollect(roots, nil)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
 	}
 }

@@ -332,18 +332,20 @@ const (
 	scratchMask = scratchSize - 1
 )
 
+// addVSlot and addMSlot memoise x + q·y, keyed on the node ids and the
+// canonical ratio q (see addV).
 type addVSlot struct {
-	aN, bN uint32
-	aW, bW complex128
-	r      VEdge
-	gen    uint32
+	x, y uint32
+	q    complex128
+	r    VEdge
+	gen  uint32
 }
 
 type addMSlot struct {
-	aN, bN uint32
-	aW, bW complex128
-	r      MEdge
-	gen    uint32
+	x, y uint32
+	q    complex128
+	r    MEdge
+	gen  uint32
 }
 
 type mulMVSlot struct {

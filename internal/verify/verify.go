@@ -26,7 +26,7 @@ import (
 
 // FidelityTol is the default acceptance margin: a DD state agrees with
 // the oracle when fidelity ≥ 1 − FidelityTol. Canonicalisation rounds
-// each weight by up to cnum.Tol (1e-10); across the circuit lengths the
+// each weight by up to cnum.Tol (1e-12); across the circuit lengths the
 // test suites use, accumulated fidelity loss stays well under 1e-9
 // while any genuine gate-application bug costs orders of magnitude
 // more.
