@@ -74,10 +74,11 @@ func circuitRun(c *circuit.Circuit, opt core.Options) func() (golden, error) {
 }
 
 // TestGoldenRuns reruns each workload on a fresh engine and compares it
-// with the values recorded when addition moved to ratio-keyed caching
-// (a·x + b·y = a·(x + (b/a)·y)) and cnum.Tol to 1e-12. Each amplitude
-// digest notes its fidelity |<dense|dd>|² against dense.Simulate, and
-// what moved it.
+// with the values recorded when the kernels stopped interning their
+// temporaries (same-node sums, scaled edges and product top weights stay
+// raw; only the weights a node stores, the add-cache ratio and exported
+// roots go through the weight table). Each amplitude digest notes its
+// fidelity |<dense|dd>|² against dense.Simulate, and what moved it.
 func TestGoldenRuns(t *testing.T) {
 	sup := supremacy.Circuit(4, 4, 13, 1)
 	g14 := grover.Circuit(14, 0x2d3b, 0)
@@ -93,37 +94,35 @@ func TestGoldenRuns(t *testing.T) {
 		{
 			"supremacy_4x4_d13/sequential",
 			circuitRun(sup, core.Options{}),
-			// Fidelity 1 − 8.9e-16 (was 1). Moved by ratio keying alone
-			// (the tolerance alone leaves it unchanged): 62 % fewer
-			// weights and 56 % fewer add recursions; nodes and mul
+			// Fidelity 1 − 4.4e-16 (was 1 − 8.9e-16). 73 % fewer
+			// weights and 2.9 % fewer add recursions; nodes and mul
 			// recursions stay.
-			golden{"10de42e3e14af8796f14c3482ed091e467f205ad6013d1fda29c0dad4a41e745", 5856, 90196, 33663, 28112},
+			golden{"9ad49e2160d34e6f12b16570e7c484945f7b56effe3bb3929f2625d0175c8878", 1587, 87580, 33663, 28112},
 		},
 		{
 			"grover_14/k4",
 			circuitRun(g14, core.Options{Strategy: core.KOperations{K: 4}}),
-			// Fidelity 1 + 6.1e-13 (was 1 − 2.9e-11). Both changes move
-			// the digest; the interned ratios add weights, while
-			// recursion and node counts stay.
-			golden{"50bb2941226524f6a852698d665cd2e51f7c1f2a85fc014662b0819d4c73ec02", 17386, 101495, 29533, 29637},
+			// Fidelity 1 + 6.2e-13 (was 1 + 6.1e-13). 48 % fewer
+			// weights and 0.1 % more nodes; recursions stay. The final
+			// state has 60 nodes (was 27): leaf ratios that used to
+			// intern together now differ by a few Tol.
+			golden{"1d7fe43c207e372fa0b72c265025021cd7edbed52711f0dfbf574b72778d5ea0", 8959, 101495, 29533, 29672},
 		},
 		{
 			"grover_14/s64",
 			circuitRun(g14, core.Options{Strategy: core.MaxSize{SMax: 64}}),
-			// Fidelity 1 + 4.0e-13 (was 1 + 3.0e-13). The tighter
-			// tolerance keeps two more nodes and so shifts the max-size
-			// flush points (mul recursions); ratio keying moves the
-			// digest and the weights.
-			golden{"3398ece307bc82f8ba6638971b5995709ab463b0e03481c25476f1a9e2483bfd", 20180, 40495, 21699, 11584},
+			// Fidelity 1 + 3.0e-13 (was 1 + 4.0e-13). 72 % fewer
+			// weights and 0.2 % more nodes; recursions stay. Final
+			// state 50 nodes (was 27), as under k4.
+			golden{"4a1335f63c1a68ff4ad411faf7c02694d2e3faaff97efc4ac4f6b31af16400cf", 5735, 40495, 21699, 11607},
 		},
 		{
 			"tfim_10/blocks",
 			circuitRun(tfim, core.Options{UseBlocks: true}),
-			// Fidelity 1 − 1.2e-12 (was 1 + 1.1e-10). Both changes move
-			// everything: ratio keying alone creates 26 % fewer nodes,
-			// the tolerance alone 0.7 % more; together 16 % fewer nodes
-			// and 5 % more weights.
-			golden{"5f92ce0957fe9928b1fd9ac7d2fc43814501c8352da1712a02f43e8624bdb4a5", 701782, 470008, 86916, 191117},
+			// Fidelity 1 − 2.3e-12 (was 1 − 1.2e-12). 57 % fewer
+			// weights; nodes −0.27 %, add recursions −0.41 %, mul
+			// recursions −0.42 %.
+			golden{"67a700e9f9c04c5e9c901831fab2f908980e91e4f732b6344357eccf3fc56a14", 299092, 468100, 86552, 190604},
 		},
 		{
 			"shor_15_7/k4",
@@ -136,9 +135,9 @@ func TestGoldenRuns(t *testing.T) {
 				}
 				return outcomeOf(phaseDigest(r.Phase), eng, r.Stats), nil
 			},
-			// The measured phase does not move; ratio keying saves 8 %
-			// of the add recursions.
-			golden{"bfc8eb98ff2c59a56f2f0e8239a5a36f5f8367591cd0385696f0896be69c2c96", 95, 34046, 37611, 9223},
+			// The measured phase does not move; 59 % fewer weights,
+			// recursions and nodes +0.2 %.
+			golden{"bfc8eb98ff2c59a56f2f0e8239a5a36f5f8367591cd0385696f0896be69c2c96", 39, 34113, 37708, 9242},
 		},
 	}
 	for _, tc := range cases {

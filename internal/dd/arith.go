@@ -11,12 +11,12 @@ import (
 // paper). Both operands must span the same variables.
 func (e *Engine) Add(a, b VEdge) VEdge {
 	if a.IsZero() {
-		return b
+		return e.canonV(b)
 	}
 	if b.IsZero() {
-		return a
+		return e.canonV(a)
 	}
-	return e.addV(a, b)
+	return e.canonV(e.addV(a, b))
 }
 
 // addV computes a·x + b·y as a·(x + q·y) with q the canonical ratio b/a,
@@ -32,8 +32,8 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 		return a
 	}
 	if a.N == b.N {
-		w := e.weights.Lookup(a.W + b.W)
-		if w == cnum.Zero {
+		w := a.W + b.W
+		if cnum.IsZero(w) {
 			return VZero()
 		}
 		return VEdge{W: w, N: a.N}
@@ -67,12 +67,12 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 // AddM returns the element-wise sum of two matrix diagrams.
 func (e *Engine) AddM(a, b MEdge) MEdge {
 	if a.IsZero() {
-		return b
+		return e.canonM(b)
 	}
 	if b.IsZero() {
-		return a
+		return e.canonM(a)
 	}
-	return e.addM(a, b)
+	return e.canonM(e.addM(a, b))
 }
 
 // addM is addV for matrices: a·(x + q·y), cached on (x, y, q).
@@ -86,8 +86,8 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 		return a
 	}
 	if a.N == b.N {
-		w := e.weights.Lookup(a.W + b.W)
-		if w == cnum.Zero {
+		w := a.W + b.W
+		if cnum.IsZero(w) {
 			return MZero()
 		}
 		return MEdge{W: w, N: a.N}
@@ -142,7 +142,7 @@ func addSwap(aw, bw complex128, aid, bid uint32) bool {
 // single "simulation step"). The operands must span the same variables.
 func (e *Engine) MulVec(m MEdge, v VEdge) VEdge {
 	e.stats.MatVecMuls++
-	return e.mulVec(m, v)
+	return e.canonV(e.mulVec(m, v))
 }
 
 func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
@@ -152,8 +152,11 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 		return VZero()
 	}
 	// Top weights factor out multiplicatively: cache on nodes only.
-	w := e.weights.Lookup(m.W * v.W)
+	w := m.W * v.W
 	if m.IsTerminal() { // then v is terminal too (same span)
+		if cnum.IsZero(w) {
+			return VZero()
+		}
 		return VEdge{W: w, N: vTerminal}
 	}
 	if m.N.V != v.N.V {
@@ -201,7 +204,7 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 // strategies spend to save matrix-vector multiplications.
 func (e *Engine) MulMat(a, b MEdge) MEdge {
 	e.stats.MatMatMuls++
-	return e.mulMat(a, b)
+	return e.canonM(e.mulMat(a, b))
 }
 
 func (e *Engine) mulMat(a, b MEdge) MEdge {
@@ -210,8 +213,11 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 	if a.IsZero() || b.IsZero() {
 		return MZero()
 	}
-	w := e.weights.Lookup(a.W * b.W)
+	w := a.W * b.W
 	if a.IsTerminal() {
+		if cnum.IsZero(w) {
+			return MZero()
+		}
 		return MEdge{W: w, N: mTerminal}
 	}
 	if a.N.V != b.N.V {
@@ -260,41 +266,63 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 	return e.scaleM(r, w)
 }
 
-// scaleV multiplies a vector edge by a scalar.
+// scaleV multiplies a vector edge by a scalar. The product stays raw
+// (see canonV); only a product within Tol of zero becomes the zero edge.
 func (e *Engine) scaleV(v VEdge, w complex128) VEdge {
 	if w == cnum.One {
 		return v
 	}
-	nw := e.weights.Lookup(v.W * w)
-	if nw == cnum.Zero {
+	nw := v.W * w
+	if cnum.IsZero(nw) {
 		return VZero()
 	}
 	return VEdge{W: nw, N: v.N}
 }
 
-// scaleM multiplies a matrix edge by a scalar.
+// scaleM multiplies a matrix edge by a scalar; see scaleV.
 func (e *Engine) scaleM(m MEdge, w complex128) MEdge {
 	if w == cnum.One {
 		return m
 	}
-	nw := e.weights.Lookup(m.W * w)
-	if nw == cnum.Zero {
+	nw := m.W * w
+	if cnum.IsZero(nw) {
 		return MZero()
 	}
 	return MEdge{W: nw, N: m.N}
 }
 
+// canonV interns the root weight of a kernel result. The kernels carry
+// top weights raw — only the normalised weights a node stores, and the
+// add-cache ratio, go through the weight table — so every exported
+// method that returns an edge hands it out through canonV or canonM.
+func (e *Engine) canonV(v VEdge) VEdge {
+	w := e.weights.Lookup(v.W)
+	if w == cnum.Zero {
+		return VZero()
+	}
+	return VEdge{W: w, N: v.N}
+}
+
+// canonM interns the root weight of a matrix kernel result; see canonV.
+func (e *Engine) canonM(m MEdge) MEdge {
+	w := e.weights.Lookup(m.W)
+	if w == cnum.Zero {
+		return MZero()
+	}
+	return MEdge{W: w, N: m.N}
+}
+
 // ScaleV multiplies a vector diagram by a scalar.
-func (e *Engine) ScaleV(v VEdge, w complex128) VEdge { return e.scaleV(v, w) }
+func (e *Engine) ScaleV(v VEdge, w complex128) VEdge { return e.canonV(e.scaleV(v, w)) }
 
 // ScaleM multiplies a matrix diagram by a scalar.
-func (e *Engine) ScaleM(m MEdge, w complex128) MEdge { return e.scaleM(m, w) }
+func (e *Engine) ScaleM(m MEdge, w complex128) MEdge { return e.canonM(e.scaleM(m, w)) }
 
 // KronV stacks the diagram hi on top of lo: the result represents
 // hi ⊗ lo, with hi's variables re-labelled above lo's.
 func (e *Engine) KronV(hi, lo VEdge) VEdge {
 	shift := int32(lo.Qubits())
-	return e.kronV(hi, lo, shift)
+	return e.canonV(e.kronV(hi, lo, shift))
 }
 
 func (e *Engine) kronV(hi, lo VEdge, shift int32) VEdge {
@@ -314,7 +342,7 @@ func (e *Engine) kronV(hi, lo VEdge, shift int32) VEdge {
 // KronM stacks the matrix diagram hi on top of lo, yielding hi ⊗ lo.
 func (e *Engine) KronM(hi, lo MEdge) MEdge {
 	shift := int32(lo.Qubits())
-	return e.kronM(hi, lo, shift)
+	return e.canonM(e.kronM(hi, lo, shift))
 }
 
 func (e *Engine) kronM(hi, lo MEdge, shift int32) MEdge {
@@ -343,7 +371,7 @@ func (e *Engine) ConjTranspose(m MEdge) MEdge {
 	if m.IsZero() {
 		return m
 	}
-	return e.scaleM(e.conjT(m.N), conj(m.W))
+	return e.canonM(e.scaleM(e.conjT(m.N), conj(m.W)))
 }
 
 // conjT returns the adjoint of the sub-diagram under n (weight one into

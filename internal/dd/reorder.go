@@ -73,7 +73,7 @@ func (e *Engine) SwapAdjacentV(v VEdge, l int) VEdge {
 	e.stats.ReorderSwaps++
 	memo := make(map[*VNode]VEdge)
 	r := e.swapVRec(v.N, int32(l), memo)
-	return VEdge{W: e.weights.Lookup(v.W * r.W), N: r.N}
+	return e.canonV(VEdge{W: v.W * r.W, N: r.N})
 }
 
 // swapVRec rebuilds the ancestors of the swap level. Nodes at levels
@@ -135,7 +135,7 @@ func (e *Engine) SwapAdjacentM(m MEdge, l int) MEdge {
 	e.stats.ReorderSwaps++
 	memo := make(map[*MNode]MEdge)
 	r := e.swapMRec(m.N, int32(l), memo)
-	return MEdge{W: e.weights.Lookup(m.W * r.W), N: r.N}
+	return e.canonM(MEdge{W: m.W * r.W, N: r.N})
 }
 
 func (e *Engine) swapMRec(n *MNode, l int32, memo map[*MNode]MEdge) MEdge {

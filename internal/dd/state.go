@@ -157,7 +157,7 @@ func (e *Engine) Normalize(v VEdge) VEdge {
 	if n < cnum.Tol {
 		panic("dd: Normalize of (near-)zero vector")
 	}
-	return e.scaleV(v, complex(1/n, 0))
+	return e.canonV(e.scaleV(v, complex(1/n, 0)))
 }
 
 // Prob returns the probability that measuring qubit q of state v yields

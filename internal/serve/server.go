@@ -204,7 +204,9 @@ func (s *Server) Metrics() *obs.Registry { return s.cfg.Registry }
 
 // recover re-admits journaled jobs. Terminal jobs are loaded for
 // status queries only; everything else goes back on the queue, to
-// resume from its last durable checkpoint.
+// resume from its last durable checkpoint. s.mu is held across the
+// loop: a requeued job may already run on a pool worker while later
+// entries are still being added to s.jobs.
 func (s *Server) recover() error {
 	entries, skipped, err := s.jn.load()
 	if err != nil {
@@ -213,6 +215,8 @@ func (s *Server) recover() error {
 	for _, msg := range skipped {
 		s.cfg.Logf("serve: quarantined damaged journal entry %s", msg)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
 		e := e
 		j := &job{spec: e.Spec, status: e.Status, priority: priorityFor(e.Spec.Priority)}
