@@ -13,10 +13,11 @@
 //     all values within tolerance of each other share one bit pattern.
 //
 // The engine interns only where exact comparison needs it: the
-// normalised weights a node stores (its unique-table key), the ratio
-// an addition caches on, and the root weight of each diagram it hands
-// out. Kernel temporaries — sums, scaled edges, product top weights —
-// stay raw complex128 values, tested against zero with IsZero.
+// normalised weights a node stores (its unique-table key) and the root
+// weight of each diagram it hands out. Kernel temporaries — sums,
+// scaled edges, product top weights, addition ratios — stay raw
+// complex128 values, tested against zero with IsZero; the addition
+// caches index a ratio by its Key and match it with Eq.
 //
 // The approach follows the accuracy/compactness treatment of
 // Zulehner, Niemann, Drechsler, Wille (DATE 2019, ref [21] of the paper).
@@ -32,9 +33,10 @@ import (
 // at 1e-10 the merges of nearly equal weights compounded over the
 // hundreds of repetitions of a combined Grover iterate (DD-repeating)
 // into probability errors up to 1e-2 at 17 qubits and 0.1 at 18; at
-// 1e-12, with only stored weights, add ratios and roots interned, they
-// stay within 1e-11 through 18 qubits, and the node counts of the runs
-// TestGoldenRuns pins move by under 1 %.
+// 1e-12, with only stored weights and roots interned and add-cache
+// ratios matched within Tol, they stay within 1e-11 through 18 qubits,
+// and the node counts of the runs TestGoldenRuns pins move by under
+// 1 %.
 const Tol = 1e-12
 
 // Common constants used pervasively by gate definitions and the engine.

@@ -4,6 +4,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cnum"
 )
 
 // addCase is one pair of operand weights for the operand-order tests.
@@ -177,4 +179,63 @@ func TestAddMOperandOrderAndGC(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAddCacheMatchesRatioWithinTol checks the add caches' tolerance
+// match. The ratio q = b/a stays raw and the caches index its
+// quantisation cell, so x + q'·y, with q' in q's cell and within Tol of
+// q but not bit-equal, must hit the entry x + q·y left and return the
+// identical node. A ratio within Tol of zero must return the first
+// operand without consulting the cache.
+func TestAddCacheMatchesRatioWithinTol(t *testing.T) {
+	const q = 0.3 + 0.4i
+	q2 := q + complex(3e-13, -2e-13)
+	if q2 == q || !cnum.Eq(q, q2) || cnum.KeyOf(q) != cnum.KeyOf(q2) {
+		t.Fatalf("q' = %v must be a different value in q's cell within Tol", q2)
+	}
+	c := addCase{wa: 1, wb: q}
+	t.Run("vector", func(t *testing.T) {
+		e := New()
+		a, b := addOperandsV(e, c, false)
+		s := e.Add(a, b)
+		before := e.Stats().AddV
+		r := e.Add(a, VEdge{W: q2, N: b.N})
+		if after := e.Stats().AddV; after.Lookups != before.Lookups+1 || after.Hits != before.Hits+1 {
+			t.Fatalf("add-v lookups %d→%d, hits %d→%d; want one lookup, one hit",
+				before.Lookups, after.Lookups, before.Hits, after.Hits)
+		}
+		if r.N != s.N || !sameBits(r.W, s.W) {
+			t.Fatalf("x + q'·y = %v·%p, x + q·y = %v·%p", r.W, r.N, s.W, s.N)
+		}
+		before = e.Stats().AddV
+		big := VEdge{W: 1000, N: a.N}
+		if z := e.Add(big, VEdge{W: 5e-10, N: b.N}); z.N != big.N || !sameBits(z.W, big.W) {
+			t.Fatalf("ratio within Tol of zero: Add = %v·%p, want %v·%p", z.W, z.N, big.W, big.N)
+		}
+		if after := e.Stats().AddV; after != before {
+			t.Fatalf("ratio within Tol of zero consulted the add-v cache: %+v → %+v", before, after)
+		}
+	})
+	t.Run("matrix", func(t *testing.T) {
+		e := New()
+		a, b := addOperandsM(e, c, false)
+		s := e.AddM(a, b)
+		before := e.Stats().AddM
+		r := e.AddM(a, MEdge{W: q2, N: b.N})
+		if after := e.Stats().AddM; after.Lookups != before.Lookups+1 || after.Hits != before.Hits+1 {
+			t.Fatalf("add-m lookups %d→%d, hits %d→%d; want one lookup, one hit",
+				before.Lookups, after.Lookups, before.Hits, after.Hits)
+		}
+		if r.N != s.N || !sameBits(r.W, s.W) {
+			t.Fatalf("x + q'·y = %v·%p, x + q·y = %v·%p", r.W, r.N, s.W, s.N)
+		}
+		before = e.Stats().AddM
+		big := MEdge{W: 1000, N: a.N}
+		if z := e.AddM(big, MEdge{W: 5e-10, N: b.N}); z.N != big.N || !sameBits(z.W, big.W) {
+			t.Fatalf("ratio within Tol of zero: AddM = %v·%p, want %v·%p", z.W, z.N, big.W, big.N)
+		}
+		if after := e.Stats().AddM; after != before {
+			t.Fatalf("ratio within Tol of zero consulted the add-m cache: %+v → %+v", before, after)
+		}
+	})
 }

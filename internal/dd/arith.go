@@ -19,9 +19,11 @@ func (e *Engine) Add(a, b VEdge) VEdge {
 	return e.canonV(e.addV(a, b))
 }
 
-// addV computes a·x + b·y as a·(x + q·y) with q the canonical ratio b/a,
-// so the cache keys on (x, y, q) rather than on both operand weights:
-// sums that differ only by a common factor share one entry.
+// addV computes a·x + b·y as a·(x + q·y) with q the ratio b/a, so the
+// cache keys on (x, y, q) rather than on both operand weights: sums that
+// differ only by a common factor share one entry. q stays raw: the index
+// hashes its quantisation cell, and a hit takes an entry whose ratio is
+// within cnum.Tol of q, the same approximation interning q would make.
 func (e *Engine) addV(a, b VEdge) VEdge {
 	e.abortCheck()
 	e.stats.AddRecursions++
@@ -44,14 +46,14 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 	if addSwap(a.W, b.W, a.N.id, b.N.id) {
 		a, b = b, a
 	}
-	q := e.weights.Lookup(b.W / a.W)
-	if q == cnum.Zero {
+	q := b.W / a.W
+	if cnum.IsZero(q) {
 		return a
 	}
 	x, y := a.N, b.N
-	idx := mixW(mix(x.id, y.id), q) & cacheMask
+	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
 	e.stats.AddV.Lookups++
-	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && s.q == q {
+	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
 		e.stats.AddV.Hits++
 		return e.scaleV(s.r, a.W)
 	}
@@ -98,14 +100,14 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 	if addSwap(a.W, b.W, a.N.id, b.N.id) {
 		a, b = b, a
 	}
-	q := e.weights.Lookup(b.W / a.W)
-	if q == cnum.Zero {
+	q := b.W / a.W
+	if cnum.IsZero(q) {
 		return a
 	}
 	x, y := a.N, b.N
-	idx := mixW(mix(x.id, y.id), q) & cacheMask
+	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
 	e.stats.AddM.Lookups++
-	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && s.q == q {
+	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
 		e.stats.AddM.Hits++
 		return e.scaleM(s.r, a.W)
 	}
@@ -292,9 +294,9 @@ func (e *Engine) scaleM(m MEdge, w complex128) MEdge {
 }
 
 // canonV interns the root weight of a kernel result. The kernels carry
-// top weights raw — only the normalised weights a node stores, and the
-// add-cache ratio, go through the weight table — so every exported
-// method that returns an edge hands it out through canonV or canonM.
+// top weights raw — only the normalised weights a node stores go
+// through the weight table — so every exported method that returns an
+// edge hands it out through canonV or canonM.
 func (e *Engine) canonV(v VEdge) VEdge {
 	w := e.weights.Lookup(v.W)
 	if w == cnum.Zero {

@@ -136,13 +136,13 @@ func BenchmarkMulVecGate(b *testing.B) {
 }
 
 // BenchmarkAddV sums two distinct 10-qubit random states, the second
-// scaled by one of 64 relative phases in turn. Each phase is a distinct
-// canonical ratio, so every sum misses the add cache at the top, and a
-// collection after each round of 64 clears the cache and frees the
-// results: every iteration walks both diagrams through the ratio-keyed
-// recursion, interning weights and building nodes. One warm-up round
-// fills the weight table and the arena first, after which CI greps the
-// benchmark for 0 allocs/op.
+// scaled by one of 64 relative phases in turn. Each phase is a ratio in
+// its own quantisation cell, so every sum misses the add cache at the
+// top, and a collection after each round of 64 clears the cache and
+// frees the results: every iteration walks both diagrams through the
+// ratio-keyed recursion, interning weights and building nodes. One
+// warm-up round fills the weight table and the arena first, after which
+// CI greps the benchmark for 0 allocs/op.
 func BenchmarkAddV(b *testing.B) {
 	e := New()
 	rng := rand.New(rand.NewSource(3))

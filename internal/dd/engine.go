@@ -332,8 +332,9 @@ const (
 	scratchMask = scratchSize - 1
 )
 
-// addVSlot and addMSlot memoise x + q·y, keyed on the node ids and the
-// canonical ratio q (see addV).
+// addVSlot and addMSlot memoise x + q·y. The index hashes the node ids
+// with q's quantisation cell, and a hit needs the same ids and a stored
+// ratio within cnum.Tol of q (see addV); q itself stays raw.
 type addVSlot struct {
 	x, y uint32
 	q    complex128
@@ -698,14 +699,19 @@ func mix(a, b uint32) uint32 {
 	return h
 }
 
-// mixW folds a complex weight into a cache hash.
-func mixW(h uint32, w complex128) uint32 {
-	rb := math.Float64bits(real(w))
-	ib := math.Float64bits(imag(w))
-	h ^= uint32(rb) ^ uint32(rb>>32)*0x9e3779b1
-	h ^= uint32(ib)*0x85ebca77 ^ uint32(ib>>32)
-	h ^= h >> 16
-	return h
+// mixKey folds a weight's quantisation cell into a cache hash. Each
+// component passes a multiply and a shift before the next one joins:
+// XOR-ing the two products directly hashes the cells of q and −q alike
+// whenever both cell coordinates are odd, and add ratios come in such
+// pairs.
+func mixKey(h uint32, k cnum.Key) uint32 {
+	x := uint64(k.Re) * 0x9e3779b97f4a7c15
+	x ^= x >> 32
+	x = (x ^ uint64(k.Im)) * 0xbf58476d1ce4e5b9
+	x ^= x >> 32
+	x = (x ^ uint64(h)) * 0x94d049bb133111eb
+	x ^= x >> 32
+	return uint32(x)
 }
 
 // clearCaches invalidates all compute caches, cross-call scratch memos
