@@ -30,9 +30,10 @@
 // circuit qubit order regardless of the internal level permutation).
 //
 // Resilience: -timeout bounds the wall-clock time, -max-nodes bounds
-// live DD nodes (combination strategies degrade to sequential replay
-// under the cap unless -no-fallback is set), -checkpoint periodically
-// saves a resumable snapshot that -resume restarts from.
+// live DD nodes (a combination that trips the cap is replayed gate by
+// gate, the degradation ladder's replay rung, unless -degrade off is
+// set), -checkpoint periodically saves a resumable snapshot that
+// -resume restarts from.
 //
 // Verification: -verify-every N audits the engine and state DD every N
 // gates (structural invariants, weight canonicality, norm drift,
@@ -57,7 +58,10 @@
 // and sequential pinning, sifting) instead of aborting at the -max-nodes
 // cliff; -degrade approx additionally allows fidelity-bounded state
 // truncation, with the resulting bound reported. A run whose ladder is
-// exhausted parks behind a checkpoint and exits 8.
+// exhausted parks behind a checkpoint and exits 8. The "governor" line
+// counts the ladder's actions and the replays among them, and names
+// the budget they answered to (-soft-budget, or -max-nodes when no soft
+// budget was given).
 package main
 
 import (
@@ -108,9 +112,8 @@ func main() {
 
 		timeout    = flag.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = none)")
 		maxNodes   = flag.Int("max-nodes", 0, "abort operations whose live DD nodes exceed this budget (0 = unlimited)")
-		noFallback = flag.Bool("no-fallback", false, "fail immediately on a node-budget abort instead of replaying the gate run sequentially")
 		softBudget = flag.Int("soft-budget", 0, "arm the memory-pressure governor at this live-node target: degrade in stages near it instead of aborting at -max-nodes (0 = off unless -degrade is set)")
-		degrade    = flag.String("degrade", "", "governor mode: off, ladder (exact measures only), or approx (adds fidelity-bounded truncation; bound is reported)")
+		degrade    = flag.String("degrade", "", "governor mode: off (a node-budget abort fails the run instead of replaying the gate run sequentially), ladder (exact measures only), or approx (adds fidelity-bounded truncation; bound is reported)")
 		approxNode = flag.Int("approx-nodes", 0, "state-size target of the approximation rung (-degrade approx; 0 = soft budget / 4)")
 		ckptPath   = flag.String("checkpoint", "", "save a resumable checkpoint to this file (periodically and on abort)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "gates between periodic checkpoints (0 = checkpoint only on abort)")
@@ -156,7 +159,6 @@ func main() {
 		UseBlocks:           *blocks,
 		RecordTrace:         *showTrace,
 		MaxNodes:            *maxNodes,
-		DisableFallback:     *noFallback,
 		Seed:                *seed,
 		VerifyEvery:         *verifyEvery,
 		Paranoid:            *paranoid,
@@ -256,6 +258,12 @@ func main() {
 		}
 	}
 
+	// The budget the ladder answers to: the soft budget, which defaults
+	// to -max-nodes, or -max-nodes alone for a run that only replays.
+	governedBudget := *softBudget
+	if governedBudget == 0 {
+		governedBudget = *maxNodes
+	}
 	var res *core.Result
 	var parCounts map[uint64]int // merged histogram from the parallel fan-out
 	if *parallel > 1 && *shots > 0 {
@@ -267,7 +275,7 @@ func main() {
 		// The partial run's telemetry is the interesting part of an
 		// aborted run; flush it before reportFailure exits.
 		octl.finish()
-		reportFailure(res, c, err, *ckptPath)
+		reportFailure(res, c, err, *ckptPath, governedBudget)
 	}
 
 	fmt.Printf("circuit:        %s (%d qubits, %d gates, depth %d)\n",
@@ -280,18 +288,8 @@ func main() {
 	fmt.Printf("runtime:        %v\n", res.Duration)
 	fmt.Printf("mat-vec steps:  %d\n", res.MatVecSteps)
 	fmt.Printf("mat-mat steps:  %d\n", res.MatMatSteps)
-	if res.Fallbacks > 0 {
-		fmt.Printf("fallbacks:      %d (gate runs replayed sequentially under -max-nodes %d)\n",
-			res.Fallbacks, *maxNodes)
-	}
 	if len(res.Degradations) > 0 {
-		if res.FidelityBound < 1 {
-			fmt.Printf("governor:       %d degradation(s) under -soft-budget %d, fidelity ≥ %.6g\n",
-				len(res.Degradations), *softBudget, res.FidelityBound)
-		} else {
-			fmt.Printf("governor:       %d degradation(s) under -soft-budget %d (all exact)\n",
-				len(res.Degradations), *softBudget)
-		}
+		fmt.Printf("governor:       %s\n", governorSummary(res, governedBudget))
 	}
 	if *verifyEvery > 0 || *paranoid {
 		fmt.Printf("verification:   drift %.2e, %d repair(s)\n", res.NormDrift, res.Repairs)
@@ -396,11 +394,23 @@ func hasDynamicOps(text string) bool {
 	return false
 }
 
+// governorSummary renders the degradation journal for the "governor"
+// line: how many actions, how many of them replayed a gate run, the
+// live-node budget they answered to, and the fidelity bound.
+func governorSummary(res *core.Result, budget int) string {
+	bound := "all exact"
+	if res.FidelityBound < 1 {
+		bound = fmt.Sprintf("fidelity ≥ %.6g", res.FidelityBound)
+	}
+	return fmt.Sprintf("%d degradation(s), %d replay(s), under a %d-node budget (%s)",
+		len(res.Degradations), res.Replays(), budget, bound)
+}
+
 // reportFailure prints a partial-progress report for an aborted run and
 // exits with a status distinguishing the failure class (3 deadline,
 // 4 budget, 5 canceled, 6 recovered panic / injected fault,
 // 7 unrepairable state corruption, 8 parked under memory pressure).
-func reportFailure(res *core.Result, c *circuit.Circuit, err error, ckptPath string) {
+func reportFailure(res *core.Result, c *circuit.Circuit, err error, ckptPath string, budget int) {
 	var re *core.RunError
 	if !errors.As(err, &re) {
 		fatal(err)
@@ -411,8 +421,8 @@ func reportFailure(res *core.Result, c *circuit.Circuit, err error, ckptPath str
 		fmt.Fprintf(os.Stderr, "  live nodes:     %d\n",
 			res.Engine.VNodeCount()+res.Engine.MNodeCount())
 		fmt.Fprintf(os.Stderr, "  peak op matrix: %d nodes\n", res.Stats.PeakMatrixSize)
-		if res.Fallbacks > 0 {
-			fmt.Fprintf(os.Stderr, "  fallbacks:      %d\n", res.Fallbacks)
+		if len(res.Degradations) > 0 {
+			fmt.Fprintf(os.Stderr, "  governor:       %s\n", governorSummary(res, budget))
 		}
 		fmt.Fprintf(os.Stderr, "  runtime:        %v\n", res.Duration)
 	}
@@ -447,7 +457,7 @@ func runFsck(path string) {
 		if rep.Strategy != "" {
 			fmt.Printf("strategy:       %s\n", rep.Strategy)
 		}
-		fmt.Printf("seed:           %d (%d fallbacks, %d repairs)\n",
+		fmt.Printf("seed:           %d (%d replays, %d repairs)\n",
 			rep.Seed, rep.Fallbacks, rep.Repairs)
 		fmt.Printf("state:          %d DD nodes, norm %.9f\n", rep.StateNodes, rep.Norm)
 		if rep.Order != nil {

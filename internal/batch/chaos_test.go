@@ -151,7 +151,7 @@ func TestBatchBudgetTripIsolated(t *testing.T) {
 		o := core.Options{}
 		if i == victim {
 			o.MaxNodes = 2 // no 6-qubit run fits two live nodes
-			o.DisableFallback = true
+			o.Degrade = "off"
 		}
 		bjobs[i] = core.BatchJob{Circuit: c, Options: o}
 	}

@@ -11,6 +11,7 @@ package batch_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/dense"
+	"repro/internal/grover"
 	"repro/internal/verify"
 )
 
@@ -43,8 +45,10 @@ func TestBatchMatchesSerial(t *testing.T) {
 		stats dd.Stats
 		res   *core.Result
 	}
-	runs := make([]serialRun, trials)
-	jobs := make([]core.BatchJob, trials)
+	// One more job trips its node budget, so the degradation journals
+	// (budget-abort replays) are compared too.
+	runs := make([]serialRun, trials+1)
+	jobs := make([]core.BatchJob, trials+1)
 	for i := range runs {
 		n := 2 + rng.Intn(5)
 		c := verify.RandomCircuit(rng, n, 20+rng.Intn(20))
@@ -58,9 +62,16 @@ func TestBatchMatchesSerial(t *testing.T) {
 			st = core.MaxSize{SMax: 1 << uint(2+rng.Intn(6))}
 		}
 		opt := core.Options{Strategy: st}
+		if i == trials {
+			c = grover.Circuit(10, 3, 0)
+			opt = core.Options{Strategy: core.MaxSize{SMax: 1 << 20}, MaxNodes: 150}
+		}
 		res, err := core.Run(c, opt)
 		if err != nil {
 			t.Fatalf("serial run %d: %v", i, err)
+		}
+		if i == trials && res.Replays() == 0 {
+			t.Fatal("budgeted serial run never replayed")
 		}
 		runs[i] = serialRun{c: c, opt: opt, amps: res.State.ToVector(), stats: comparableStats(res.Stats), res: res}
 		jobs[i] = core.BatchJob{Circuit: c, Options: opt}
@@ -98,7 +109,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 			if r.Result.MatVecSteps != runs[i].res.MatVecSteps ||
 				r.Result.MatMatSteps != runs[i].res.MatMatSteps ||
 				r.Result.GatesApplied != runs[i].res.GatesApplied ||
-				r.Result.Fallbacks != runs[i].res.Fallbacks {
+				!slices.Equal(r.Result.Degradations, runs[i].res.Degradations) {
 				t.Fatalf("workers=%d job %d: step counters diverge from serial run", workers, i)
 			}
 		}

@@ -40,8 +40,9 @@ type Config struct {
 	Budget time.Duration
 	// MaxNodes caps the live DD nodes of a single run; runs exceeding it
 	// are reported as "oom" cells (the memory analogue of Budget).
-	// Strategy fallback is disabled so the cell reflects the strategy as
-	// configured. Zero means unlimited.
+	// Budget-abort replay stays off unless SoftBudget or Degrade arm the
+	// ladder, so the cell reflects the strategy as configured. Zero
+	// means unlimited.
 	MaxNodes int
 	// SoftBudget arms the memory-pressure governor for every measured
 	// run (see core.Options.SoftBudget): cells degrade in stages near
@@ -254,8 +255,10 @@ func timeOnce(w Workload, opt core.Options, cfg Config) Measurement {
 			opt.MaxNodes = cfg.MaxNodes
 		}
 		// The cell reports whether the strategy as configured fits the
-		// budget; silent degradation would blur the comparison.
-		opt.DisableFallback = true
+		// budget; silent degradation would blur the comparison. An
+		// armed governor (below) replays instead, and marks the cell
+		// degraded.
+		opt.Degrade = "off"
 	}
 	if cfg.SoftBudget > 0 || cfg.Degrade != "" {
 		opt.SoftBudget = cfg.SoftBudget

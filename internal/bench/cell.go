@@ -25,12 +25,12 @@ type CellMetrics struct {
 	obs.EngineCounters
 
 	PeakNodes  int
-	Fallbacks  int
 	StateNodes int // final state DD size
 
-	// Degradations counts the memory-pressure governor's ladder actions
-	// during the run; FidelityBound is the run's cumulative fidelity
-	// lower bound (0 for runs the governor never touched).
+	// Degradations counts the degradation ladder's actions during the
+	// run (budget-abort replays included); FidelityBound is the run's
+	// cumulative fidelity lower bound (0 for runs the ladder never
+	// touched).
 	Degradations  int
 	FidelityBound float64
 
@@ -73,7 +73,6 @@ func (s *runEndCapture) cell(seconds float64) CellMetrics {
 		Seconds:        seconds,
 		EngineCounters: e.EngineCounters,
 		PeakNodes:      e.PeakNodes,
-		Fallbacks:      e.Fallbacks,
 		StateNodes:     e.StateNodes,
 		Degradations:   e.Degradations,
 		FidelityBound:  e.FidelityBound,
@@ -86,7 +85,7 @@ func (s *runEndCapture) cell(seconds float64) CellMetrics {
 // run-level columns.
 var metricsCSVHeader = "workload,param,seconds,mark," +
 	strings.Join(stepColumns(func(i int) string { return dd.StepCounters[i].Name }, "cache_hit_rate"), ",") +
-	",gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes,degradations,fidelity_bound\n"
+	",gcs,gc_pause_seconds,peak_nodes,state_nodes,degradations,fidelity_bound\n"
 
 // stepColumns renders cell(i) for each dd.StepCounters row, with rate,
 // the derived cache hit rate, right after cache_hits.
@@ -114,11 +113,11 @@ func appendMetricsRow(sb *strings.Builder, workload, param, mark string, c CellM
 		bound = fmt.Sprintf("%.6g", c.FidelityBound)
 	}
 	counters := stepColumns(func(i int) string { return strconv.FormatUint(*c.Step(i), 10) }, rate)
-	fmt.Fprintf(sb, "%s,%s,%s,%s,%s,%d,%s,%d,%d,%d,%d,%s\n",
+	fmt.Fprintf(sb, "%s,%s,%s,%s,%s,%d,%s,%d,%d,%d,%s\n",
 		csvEscape(workload), csvEscape(param), csvFloat(c.Seconds), mark,
 		strings.Join(counters, ","),
 		c.GCs, csvFloat(float64(c.GCPauseNS)/1e9),
-		c.PeakNodes, c.Fallbacks, c.StateNodes,
+		c.PeakNodes, c.StateNodes,
 		c.Degradations, bound)
 }
 

@@ -24,8 +24,8 @@ func TestTimeCapturesCellMetrics(t *testing.T) {
 	if c.MatVecMuls == 0 || c.NodesCreated == 0 || c.PeakNodes == 0 || c.StateNodes == 0 {
 		t.Fatalf("cell totals not populated: %+v", c)
 	}
-	if c.Abort != "" || c.Fallbacks != 0 {
-		t.Fatalf("clean run carries abort/fallback markers: %+v", c)
+	if c.Abort != "" || c.Degradations != 0 {
+		t.Fatalf("clean run carries abort/degradation markers: %+v", c)
 	}
 	if c.Seconds != m.Seconds {
 		t.Fatalf("cell seconds %v != measurement %v", c.Seconds, m.Seconds)
@@ -101,7 +101,7 @@ func TestMetricsCSVEmptyWithoutCells(t *testing.T) {
 	}
 }
 
-func TestEngineStatsCarriesPeakAndFallbacks(t *testing.T) {
+func TestEngineStatsCarriesPeak(t *testing.T) {
 	rows, err := EngineStats(Config{Budget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +115,11 @@ func TestEngineStatsCarriesPeakAndFallbacks(t *testing.T) {
 		}
 	}
 	text := RenderEngineStats(rows)
-	if !strings.Contains(text, "peak") || !strings.Contains(text, "fb") {
-		t.Fatalf("render missing new columns:\n%s", text)
+	if !strings.Contains(text, "peak") {
+		t.Fatalf("render missing the peak column:\n%s", text)
 	}
 	csv := EngineStatsCSV(rows)
-	if !strings.Contains(csv, ",peak_nodes,fallbacks") {
-		t.Fatalf("CSV missing new columns:\n%s", csv)
+	if !strings.Contains(csv, ",peak_nodes\n") {
+		t.Fatalf("CSV missing the peak_nodes column:\n%s", csv)
 	}
 }

@@ -17,7 +17,6 @@ type EngineStatsRow struct {
 	Strategy string
 	Seconds  float64
 	dd.Stats
-	Fallbacks int
 }
 
 // EngineStats runs a small workload mix under each strategy family with
@@ -40,8 +39,7 @@ func EngineStats(cfg Config) ([]EngineStatsRow, error) {
 	for _, w := range ws {
 		for _, st := range strategies {
 			e := dd.New()
-			cap := &runEndCapture{}
-			opt := core.Options{Strategy: st, Engine: e, EventSink: cap, Metrics: cfg.Metrics}
+			opt := core.Options{Strategy: st, Engine: e, Metrics: cfg.Metrics}
 			if cfg.Budget > 0 {
 				opt.Deadline = time.Now().Add(cfg.Budget)
 			}
@@ -55,11 +53,10 @@ func EngineStats(cfg Config) ([]EngineStatsRow, error) {
 				return nil, fmt.Errorf("bench: enginestats: %s/%s: %w", w.Name, st.Name(), err)
 			}
 			rows = append(rows, EngineStatsRow{
-				Workload:  w.Name,
-				Strategy:  st.Name(),
-				Seconds:   elapsed,
-				Stats:     e.Stats(),
-				Fallbacks: cap.cell(elapsed).Fallbacks,
+				Workload: w.Name,
+				Strategy: st.Name(),
+				Seconds:  elapsed,
+				Stats:    e.Stats(),
 			})
 		}
 	}
@@ -72,16 +69,16 @@ func RenderEngineStats(rows []EngineStatsRow) string {
 	sb.WriteString("Engine statistics: per-cache hit rates and GC behaviour per workload and strategy\n")
 	sb.WriteString("(hit rate = cache hits / lookups; mul-rec = multiplication recursions, id-skips = identity\n")
 	sb.WriteString(" short-circuits taken; nodes = created/recycled; pauses summed over all collections)\n\n")
-	fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10s %9s %12s %12s %5s %10s %9s %5s\n",
+	fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10s %9s %12s %12s %5s %10s %9s\n",
 		"Benchmark", "Strategy", "add-v", "add-m", "mul-mv", "mul-mm",
-		"mul-rec", "id-skips", "created", "recycled", "GCs", "pause", "peak", "fb")
+		"mul-rec", "id-skips", "created", "recycled", "GCs", "pause", "peak")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10d %9d %12d %12d %5d %10s %9d %5d\n",
+		fmt.Fprintf(&sb, "%-18s %-18s %8s %8s %8s %8s %10d %9d %12d %12d %5d %10s %9d\n",
 			r.Workload, r.Strategy,
 			fmtRate(r.AddV), fmtRate(r.AddM), fmtRate(r.MulMV), fmtRate(r.MulMM),
 			r.MulRecursions, r.IdentitySkipsMV+r.IdentitySkipsMM,
 			r.NodesCreated, r.NodesRecycled, r.GCs, r.GCPause.Round(time.Microsecond),
-			r.PeakVNodes+r.PeakMNodes, r.Fallbacks)
+			r.PeakVNodes+r.PeakMNodes)
 	}
 	return sb.String()
 }
@@ -100,15 +97,15 @@ func EngineStatsCSV(rows []EngineStatsRow) string {
 		"addv_lookups,addv_hits,addm_lookups,addm_hits," +
 		"mulmv_lookups,mulmv_hits,mulmm_lookups,mulmm_hits," +
 		"mul_recursions,identity_skips,identity_skip_levels," +
-		"nodes_created,nodes_recycled,gcs,gc_pause_seconds,peak_nodes,fallbacks\n")
+		"nodes_created,nodes_recycled,gcs,gc_pause_seconds,peak_nodes\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d\n",
+		fmt.Fprintf(&sb, "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d\n",
 			csvEscape(r.Workload), csvEscape(r.Strategy), csvFloat(r.Seconds),
 			r.AddV.Lookups, r.AddV.Hits, r.AddM.Lookups, r.AddM.Hits,
 			r.MulMV.Lookups, r.MulMV.Hits, r.MulMM.Lookups, r.MulMM.Hits,
 			r.MulRecursions, r.IdentitySkipsMV+r.IdentitySkipsMM, r.IdentitySkipLevels,
 			r.NodesCreated, r.NodesRecycled, r.GCs, csvFloat(r.GCPause.Seconds()),
-			r.PeakVNodes+r.PeakMNodes, r.Fallbacks)
+			r.PeakVNodes+r.PeakMNodes)
 	}
 	return sb.String()
 }

@@ -129,9 +129,6 @@ dd_nodes_created_total 1234
 # HELP dd_gc_total Engine garbage collections.
 # TYPE dd_gc_total counter
 dd_gc_total 0
-# HELP dd_fallbacks_total Budget aborts degraded to sequential replay.
-# TYPE dd_fallbacks_total counter
-dd_fallbacks_total 0
 # HELP dd_aborts_total Runs aborted (deadline, budget, cancellation, injection, panic).
 # TYPE dd_aborts_total counter
 dd_aborts_total 0
@@ -262,8 +259,8 @@ run_start: circuit,gate,kind,seq,time_unix_ns,total_gates,v_live
 step: cache_hits,cache_lookups,combined,gate,identity_skips_mm,identity_skips_mv,kind,m_live,matmat_muls,matvec_muls,mul_recursions,nodes_created,op_nodes,seq,state_nodes,time_unix_ns,v_live,wall_ns
 `
 
-const goldenMetricsCSVHeader = `workload,param,seconds,mark,matvec_muls,matmat_muls,mul_recursions,identity_skips_mv,identity_skips_mm,cache_lookups,cache_hits,cache_hit_rate,nodes_created,gcs,gc_pause_seconds,peak_nodes,fallbacks,state_nodes,degradations,fidelity_bound
+const goldenMetricsCSVHeader = `workload,param,seconds,mark,matvec_muls,matmat_muls,mul_recursions,identity_skips_mv,identity_skips_mm,cache_lookups,cache_hits,cache_hit_rate,nodes_created,gcs,gc_pause_seconds,peak_nodes,state_nodes,degradations,fidelity_bound
 `
 
-const goldenEngineStatsCSVHeader = `workload,strategy,seconds,addv_lookups,addv_hits,addm_lookups,addm_hits,mulmv_lookups,mulmv_hits,mulmm_lookups,mulmm_hits,mul_recursions,identity_skips,identity_skip_levels,nodes_created,nodes_recycled,gcs,gc_pause_seconds,peak_nodes,fallbacks
+const goldenEngineStatsCSVHeader = `workload,strategy,seconds,addv_lookups,addv_hits,addm_lookups,addm_hits,mulmv_lookups,mulmv_hits,mulmm_lookups,mulmm_hits,mul_recursions,identity_skips,identity_skip_levels,nodes_created,nodes_recycled,gcs,gc_pause_seconds,peak_nodes
 `

@@ -37,7 +37,7 @@ func TestRunBatchBudgetSplit(t *testing.T) {
 	mk := func(n int) []BatchJob {
 		jobs := make([]BatchJob, n)
 		for i := range jobs {
-			jobs[i] = BatchJob{Circuit: c, Options: Options{DisableFallback: true}}
+			jobs[i] = BatchJob{Circuit: c, Options: Options{Degrade: "off"}}
 		}
 		return jobs
 	}

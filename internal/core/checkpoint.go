@@ -45,8 +45,10 @@ type Checkpoint struct {
 	NQubits     int
 	// NextGate is the index of the first gate NOT yet reflected in
 	// State; resuming sets Options.StartGate to it.
-	NextGate  int
-	Seed      int64
+	NextGate int
+	Seed     int64
+	// Fallbacks is the number of budget-abort replays the run took
+	// (its "replay" degradation entries), under its on-disk name.
 	Fallbacks int
 	// Strategy is the Strategy.Name() the run was using, recorded so a
 	// resume can adopt it (and flag accidental mismatches). Empty on
@@ -594,7 +596,7 @@ type FsckReport struct {
 	NQubits     int
 	NextGate    int
 	Seed        int64
-	Fallbacks   int
+	Fallbacks   int // budget-abort replays, as Checkpoint.Fallbacks
 	Strategy    string
 	Repairs     int
 	// Order is the recorded variable order (nil for identity).

@@ -22,9 +22,10 @@
 //
 // Runs are resilient (see DESIGN.md "Resilience"): RunContext supports
 // cooperative cancellation, wall-clock deadlines and live-node budgets,
-// every engine panic is recovered into a typed *RunError, strategies
-// degrade to sequential replay when a combination trips the budget, and
-// checkpoints allow aborted runs to be resumed.
+// every engine panic is recovered into a typed *RunError, a combination
+// that trips the node budget is replayed gate by gate (a rung of the
+// degradation ladder in governor.go), and checkpoints allow aborted
+// runs to be resumed.
 package core
 
 import (
@@ -137,9 +138,10 @@ type Options struct {
 	UseBlocks bool
 	// GCThreshold is the live-node count above which the engine is
 	// garbage collected between steps. Zero selects the default (200k);
-	// negative disables collection. When MaxNodes is set, the effective
-	// threshold is clamped to 3/4 of the budget so collection keeps the
-	// live set under the cap whenever the workload allows.
+	// negative disables collection. When MaxNodes or SoftBudget is set,
+	// the effective threshold is clamped to 3/4 of the tighter of the
+	// two (as raised by GrowBudget grants) so collection keeps the live
+	// set under the cap whenever the workload allows.
 	GCThreshold int
 	// RecordTrace records the DD sizes of the state after every
 	// matrix-vector step and of every applied operation matrix (used for
@@ -153,16 +155,12 @@ type Options struct {
 	Deadline time.Time
 	// MaxNodes arms the engine's live-node budget: when unique-table
 	// occupancy exceeds it mid-operation, the operation aborts. Unless
-	// DisableFallback is set, a combination strategy then degrades to
-	// sequential replay of the affected gate run (recorded in
-	// Result.Fallbacks and the trace); if the budget cannot be met even
-	// sequentially, the run returns a *RunError wrapping
+	// Degrade is "off", an abort inside a combination, a flush or a
+	// block is then replayed gate by gate (a "replay" entry in
+	// Result.Degradations; see governor.go); if the budget cannot be
+	// met even sequentially, the run returns a *RunError wrapping
 	// ErrBudgetExceeded. Zero means unlimited.
 	MaxNodes int
-	// DisableFallback turns off graceful strategy degradation: a budget
-	// abort fails the run immediately instead of replaying the gate run
-	// sequentially.
-	DisableFallback bool
 	// StartGate resumes a run at this gate index: gates before it are
 	// assumed to be reflected in InitialState (see Checkpoint). Zero
 	// starts from the beginning.
@@ -185,7 +183,7 @@ type Options struct {
 	// downstream sampling. It does not influence the simulation itself.
 	Seed int64
 	// EventSink, when set, receives the run's structured event stream
-	// (run_start, one step per applied operation, fallback / gc /
+	// (run_start, one step per applied operation, gc / pressure /
 	// checkpoint / abort, run_end); see internal/obs. Like RecordTrace
 	// it costs O(state size) per applied step for the size traversals.
 	// The engine's observer slot is claimed for the duration of the run.
@@ -219,9 +217,10 @@ type Options struct {
 	// order from the qubit-interaction graph (sched.StaticOrder; only
 	// for fresh runs — when InitialOrder, InitialState or StartGate
 	// already pin the order, the derivation is skipped), or "sifting"
-	// for in-run sifting at flush boundaries, triggered by the growth
-	// heuristic below. Gates are mapped through the live permutation
-	// before GateDD, so the circuit itself is never rewritten.
+	// for in-run sifting at flush boundaries, triggered once the state
+	// DD has doubled since the last pass (and holds at least 256
+	// nodes). Gates are mapped through the live permutation before
+	// GateDD, so the circuit itself is never rewritten.
 	Reorder string
 	// InitialOrder sets the starting DD variable order: order[level] =
 	// circuit qubit, a permutation of [0, NQubits). Nil means identity.
@@ -229,19 +228,9 @@ type Options struct {
 	// (checkpoints record the order for exactly this reason). The slice
 	// is copied.
 	InitialOrder []int
-	// SiftGrowth is the growth factor over the post-sift baseline size
-	// that triggers the next sifting pass (default 2). SiftMinNodes is
-	// the state size below which sifting is never attempted (default
-	// 256). SiftMaxSwaps bounds the swaps of one pass (default 8·n²,
-	// enough for a few full rounds; sifting additionally aborts with
-	// the run's deadline/budget/cancellation machinery, probed at every
-	// swap).
-	SiftGrowth   float64
-	SiftMinNodes int
-	SiftMaxSwaps int
 	// SoftBudget arms the memory-pressure governor (see governor.go and
-	// DESIGN.md §15): live-node occupancy is banded against
-	// PressureWatermarks fractions of this target, and at flush
+	// DESIGN.md §15): live-node occupancy is banded against the
+	// 70/85/95 % watermarks of this target, and at flush
 	// boundaries the run walks a staged degradation ladder — emergency
 	// GC, flush-and-pin-sequential, sifting, optional approximation,
 	// checkpoint-then-park — instead of running into the MaxNodes
@@ -249,22 +238,19 @@ type Options struct {
 	// (SoftBudget then defaults to MaxNodes). Must not exceed MaxNodes
 	// when both are set.
 	SoftBudget int
-	// Degrade selects the governor's ladder mode: "" (off, unless
-	// SoftBudget is set — that implies "ladder"), "off", "ladder"
-	// (exact rungs only: GC, flush+pin, sift, park), or "approx"
-	// (additionally rung 4: fidelity-bounded state approximation via
-	// dd.Engine.Approximate, with the cumulative bound recorded in
-	// Result.FidelityBound).
+	// Degrade selects the governor's ladder mode: "" (budget-abort
+	// replay only, unless SoftBudget is set — that implies "ladder"),
+	// "off" (no replay either: a budget abort fails the run), "ladder"
+	// (exact rungs only: GC, flush+pin or replay, sift, park), or
+	// "approx" (additionally rung 4: fidelity-bounded state
+	// approximation via dd.Engine.Approximate, with the cumulative
+	// bound recorded in Result.FidelityBound).
 	Degrade string
 	// ApproxNodes is rung 4's state-DD node target (only meaningful
 	// with Degrade "approx"). Zero selects SoftBudget/4, floored at the
 	// qubit count; explicit values below the qubit count are a
 	// ConfigError, mirroring the dd.Engine.Approximate precondition.
 	ApproxNodes int
-	// PressureWatermarks overrides the occupancy fractions at which the
-	// pressure level steps up (zero value: 70/85/95%). Must be strictly
-	// increasing within (0, 1].
-	PressureWatermarks dd.Watermarks
 	// GrowBudget, when set, is consulted at critical pressure before
 	// the governor degrades past its exact rungs: it receives the
 	// current soft budget and returns a new one (<= current means no
@@ -286,8 +272,8 @@ var (
 	// ErrDeadlineExceeded reports that a simulation hit Options.Deadline.
 	ErrDeadlineExceeded = errors.New("core: simulation deadline exceeded")
 	// ErrBudgetExceeded reports that a simulation could not stay under
-	// Options.MaxNodes (even after fallback, unless fallback was
-	// disabled).
+	// Options.MaxNodes (even by replaying gate by gate, unless Degrade
+	// is "off").
 	ErrBudgetExceeded = errors.New("core: simulation node budget exceeded")
 	// ErrCanceled reports that the RunContext context was canceled.
 	ErrCanceled = errors.New("core: simulation canceled")
@@ -390,7 +376,6 @@ type TracePoint struct {
 	FromBlock  bool
 	BlockName  string
 	BlockReuse bool // true when the matrix was re-used, not re-built
-	Fallback   bool // step replayed sequentially after a budget abort
 }
 
 // Result is the outcome of a simulation run.
@@ -406,8 +391,6 @@ type Result struct {
 	// GatesApplied is the gate index through which State reflects the
 	// circuit (equals len(c.Gates) on success; less after an abort).
 	GatesApplied int
-	// Fallbacks counts budget aborts that degraded to sequential replay.
-	Fallbacks int
 	// Repairs counts corruption recoveries: verification failures that
 	// were cleared by rebuilding the state into a fresh engine and
 	// replaying the in-flight gates (see Options.VerifyEvery).
@@ -421,9 +404,10 @@ type Result struct {
 	// (dd.VectorInOrder / dd.IndexFromDD).
 	Order []int
 	Trace []TracePoint
-	// Degradations journals every action the memory-pressure governor
-	// took, in order (empty when the governor never engaged; see
-	// Options.SoftBudget).
+	// Degradations journals every action of the degradation ladder, in
+	// order: the governor's pressure rungs (Options.SoftBudget) and the
+	// replays of budget-tripped gate runs (Options.MaxNodes). Empty
+	// when neither engaged.
 	Degradations []Degradation
 	// FidelityBound is the guaranteed lower bound on the fidelity
 	// |⟨state|exact⟩|² after governor approximations: the product of
@@ -538,9 +522,9 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		order:     order,
 	}
 	r.buildPos()
-	if governorArmed(opt) {
-		r.gov = newGovernor(r)
-		eng.SetSoftBudget(opt.SoftBudget, opt.PressureWatermarks)
+	r.gov = newGovernor(r)
+	if r.gov.ladderArmed() {
+		eng.SetSoftBudget(opt.SoftBudget, pressureMarks)
 	}
 	if ro != nil {
 		eng.SetObserver(ro)
@@ -579,20 +563,16 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	// the current engine's own stats when no swap happened).
 	runDelta := r.carried.Add(r.eng.Stats().Sub(r.statsBase))
 	res := &Result{
-		State:        r.v,
-		Engine:       r.eng,
-		Stats:        statsBefore.Add(runDelta),
-		Duration:     time.Since(start),
-		MatVecSteps:  int(runDelta.MatVecMuls),
-		MatMatSteps:  int(runDelta.MatMatMuls),
-		GatesApplied: r.applied,
-		Fallbacks:    r.fallbacks,
-		Order:        append([]int(nil), r.order...),
-	}
-	res.FidelityBound = 1
-	if r.gov != nil {
-		res.Degradations = r.gov.journal
-		res.FidelityBound = r.gov.fidelity
+		State:         r.v,
+		Engine:        r.eng,
+		Stats:         statsBefore.Add(runDelta),
+		Duration:      time.Since(start),
+		MatVecSteps:   int(runDelta.MatVecMuls),
+		MatMatSteps:   int(runDelta.MatMatMuls),
+		GatesApplied:  r.applied,
+		Order:         append([]int(nil), r.order...),
+		Degradations:  r.gov.journal,
+		FidelityBound: r.gov.fidelity,
 	}
 	if ver != nil {
 		res.Repairs = ver.repairs
@@ -604,7 +584,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		if sz < 0 {
 			sz = r.eng.SizeV(r.v)
 		}
-		ro.finish(r.applied, sz, r.fallbacks, len(res.Degradations), res.FidelityBound, runDelta, err)
+		ro.finish(r.applied, sz, len(res.Degradations), res.FidelityBound, runDelta, err)
 	}
 	if err != nil {
 		return res, err
@@ -624,9 +604,10 @@ type runner struct {
 	v    dd.VEdge
 	next int // index of the next gate to absorb
 
-	acc      dd.MEdge // accumulated operation matrix
+	// acc is the accumulated operation matrix; it covers the gates
+	// [applied, next) when accValid.
+	acc      dd.MEdge
 	accValid bool
-	accStart int // first gate index covered by acc
 	combined int
 	// applied is the gate index through which v reflects the circuit.
 	applied int
@@ -634,9 +615,7 @@ type runner struct {
 	// unknown); it only changes when an operation is applied.
 	stateSz int
 
-	fallbacks  int
-	inFallback bool
-	lastCkpt   int
+	lastCkpt int
 
 	// order is the live DD variable order (order[level] = circuit
 	// qubit; nil = identity), pos its inverse (pos[qubit] = level).
@@ -652,8 +631,9 @@ type runner struct {
 	// blockMat keeps combined block matrices alive across GC.
 	blockMats []dd.MEdge
 
-	// gov is the memory-pressure governor (nil unless armed via
-	// Options.SoftBudget/Degrade); see governor.go.
+	// gov is the degradation ladder (budget-abort replay, plus the
+	// pressure rungs when Options.SoftBudget/Degrade arm them); see
+	// governor.go.
 	gov *governor
 
 	// ver is the integrity-verification state (nil unless the run asked
@@ -685,22 +665,24 @@ func (r *runner) run() error {
 		if err := r.checkAbort(); err != nil {
 			return err
 		}
-		if b, ok := blocks[r.next]; ok && r.opt.UseBlocks {
+		// A replay pins the loop to one gate per step until the tripped
+		// run is re-applied, so it never re-enters a block.
+		if b, ok := blocks[r.next]; ok && r.opt.UseBlocks && !r.gov.replaying() {
 			if err := r.flush(r.next); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
+				if err = r.continueAfter(err); err != nil {
 					return err
 				}
 				continue
 			}
 			if err := r.runBlock(b); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
+				if err = r.continueAfter(err); err != nil {
 					return err
 				}
 			}
 			continue
 		}
 		if err := r.absorbNext(); err != nil {
-			if err = r.maybeRepairOnPanic(err); err != nil {
+			if err = r.continueAfter(err); err != nil {
 				return err
 			}
 			continue
@@ -712,16 +694,10 @@ func (r *runner) run() error {
 			}
 			return opSz
 		}
-		stateSize := func() int {
-			if r.stateSz < 0 {
-				r.stateSz = r.eng.SizeV(r.v)
-			}
-			return r.stateSz
-		}
-		if r.accValid && (r.govPinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, stateSize)) {
+		if r.accValid && (r.gov.pinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, r.stateSize)) {
 			r.notePlannerDecision()
 			if err := r.flush(r.next); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
+				if err = r.continueAfter(err); err != nil {
 					return err
 				}
 				continue
@@ -730,7 +706,7 @@ func (r *runner) run() error {
 			// invalid here, so no combined matrix can go stale against
 			// the new order.
 			if err := r.maybeReorder(); err != nil {
-				if err = r.maybeRepairOnPanic(err); err != nil {
+				if err = r.continueAfter(err); err != nil {
 					return err
 				}
 				continue
@@ -738,7 +714,7 @@ func (r *runner) run() error {
 		}
 		r.maybeGC()
 		if err := r.maybeGovern(); err != nil {
-			if err = r.maybeRepairOnPanic(err); err != nil {
+			if err = r.continueAfter(err); err != nil {
 				return err
 			}
 			continue
@@ -751,11 +727,11 @@ func (r *runner) run() error {
 		}
 	}
 	if err := r.flush(len(r.c.Gates)); err != nil {
-		if err = r.maybeRepairOnPanic(err); err != nil {
+		if err = r.continueAfter(err); err != nil {
 			return err
 		}
-		// The repair replayed through the last applied gate; the final
-		// flush target may still be ahead, so re-run the tail.
+		// A replay or a repair rewound to the last applied gate; the
+		// final flush target may still be ahead, so re-run the tail.
 		if r.next < len(r.c.Gates) {
 			return r.run()
 		}
@@ -763,14 +739,33 @@ func (r *runner) run() error {
 	return r.maybeVerify(true)
 }
 
+// continueAfter decides whether the main loop may go on after a step
+// failed: a scheduled replay resumes at the rewound gate, and a kernel
+// panic under verification is repaired. Every other error is final.
+func (r *runner) continueAfter(err error) error {
+	if errors.Is(err, errReplay) {
+		return nil
+	}
+	return r.maybeRepairOnPanic(err)
+}
+
+// stateSize returns the state DD's node count, cached until the next
+// applied operation.
+func (r *runner) stateSize() int {
+	if r.stateSz < 0 {
+		r.stateSz = r.eng.SizeV(r.v)
+	}
+	return r.stateSz
+}
+
+// live is the combined live-node count of both unique tables.
+func (r *runner) live() int { return r.eng.VNodeCount() + r.eng.MNodeCount() }
+
 // absorbNext multiplies the next gate onto the accumulated operation
-// matrix. A budget abort mid-product discards the accumulator and
-// degrades to sequential replay of the covered gate run.
+// matrix. A budget abort mid-product schedules a replay of the gates
+// the accumulator covered, this one included.
 func (r *runner) absorbNext() error {
 	i := r.next
-	if !r.accValid {
-		r.accStart = i
-	}
 	err := r.guard(i, func() {
 		gd := r.gateDD(r.c.Gates[i])
 		if r.accValid {
@@ -786,15 +781,11 @@ func (r *runner) absorbNext() error {
 		r.next++
 		return nil
 	}
-	if ferr := r.tryFallback(err, r.accStart, i+1); ferr != nil {
-		return ferr
-	}
-	r.next = i + 1
-	return nil
+	return r.replay(err, i+1)
 }
 
-// flush applies the accumulated matrix (if any) to the state,
-// degrading to sequential replay on a budget abort.
+// flush applies the accumulated matrix (if any) to the state; a budget
+// abort schedules a replay of the gates it covered.
 func (r *runner) flush(gateIndex int) error {
 	if !r.accValid {
 		return nil
@@ -808,37 +799,7 @@ func (r *runner) flush(gateIndex int) error {
 		r.combined = 0
 		return nil
 	}
-	return r.tryFallback(err, r.accStart, gateIndex)
-}
-
-// tryFallback is the graceful-degradation path: after a budget abort
-// covering gates [from, to), it discards the accumulated matrix,
-// collects garbage, and replays that gate run sequentially (one small
-// gate DD and one matrix-vector product at a time). Any abort during
-// the replay — including hitting the budget again — is final.
-func (r *runner) tryFallback(runErr *RunError, from, to int) error {
-	if runErr.Kind != FailureBudget || r.opt.DisableFallback || r.inFallback {
-		return runErr
-	}
-	r.accValid = false
-	r.combined = 0
-	r.collect()
-	r.fallbacks++
-	if r.obs != nil {
-		r.obs.fallback(runErr.GateIndex, to-from)
-	}
-	r.inFallback = true
-	defer func() { r.inFallback = false }()
-	for i := from; i < to; i++ {
-		g := r.c.Gates[i]
-		if err := r.guard(i, func() {
-			r.applyOp(r.gateDD(g), i+1, 1, false, "", false)
-		}); err != nil {
-			return err
-		}
-		r.maybeGC()
-	}
-	return nil
+	return r.replay(err, gateIndex)
 }
 
 // gateDD builds one gate's matrix DD with its qubits mapped through
@@ -882,62 +843,57 @@ func identityOrder(order []int) bool {
 	return true
 }
 
-func (r *runner) siftGrowth() float64 {
-	if r.opt.SiftGrowth <= 0 {
-		return 2
-	}
-	return r.opt.SiftGrowth
-}
-
-func (r *runner) siftMinNodes() int {
-	if r.opt.SiftMinNodes <= 0 {
-		return 256
-	}
-	return r.opt.SiftMinNodes
-}
-
-func (r *runner) siftMaxSwaps() int {
-	if r.opt.SiftMaxSwaps > 0 {
-		return r.opt.SiftMaxSwaps
-	}
-	n := r.c.NQubits
-	return 8 * n * n
-}
+// Sifting trigger of Options.Reorder "sifting": a pass runs once the
+// state DD has grown siftGrowth-fold over the post-sift baseline and
+// holds at least siftMinNodes nodes. Variables, not constants, only so
+// tests can force a pass at every flush (export_test.go).
+var (
+	siftGrowth   = 2.0
+	siftMinNodes = 256
+)
 
 // maybeReorder runs one sifting pass when the state DD has outgrown
 // the post-sift baseline. Called only at flush boundaries (the
 // accumulator is invalid), so combined operation matrices never go
-// stale against the new order. A cooperative abort inside sifting —
-// the swap primitive probes the deadline/budget/cancellation layer on
-// every swap — leaves r.v and r.order untouched (SiftV works on a
-// scratch copy of the order) and surfaces through the usual guard.
+// stale against the new order; never during a replay, which must
+// re-apply exactly the gates that tripped the budget.
 func (r *runner) maybeReorder() error {
-	if r.opt.Reorder != "sifting" || r.accValid {
+	if r.opt.Reorder != "sifting" || r.accValid || r.gov.replaying() {
 		return nil
 	}
-	if r.stateSz < 0 {
-		r.stateSz = r.eng.SizeV(r.v)
-	}
-	sz := r.stateSz
-	if sz < r.siftMinNodes() {
+	sz := r.stateSize()
+	if sz < siftMinNodes {
 		r.siftBase = 0
 		return nil
 	}
 	if r.siftBase == 0 {
 		r.siftBase = sz
 	}
-	if float64(sz) < r.siftGrowth()*float64(r.siftBase) {
+	if float64(sz) < siftGrowth*float64(r.siftBase) || !r.siftHeadroom() {
 		return nil
 	}
-	// Sifting under a nearly exhausted node budget would spend the
-	// remaining headroom on intermediate diagrams and abort the run
-	// over an optimisation; skip until collection makes room.
-	if r.opt.MaxNodes > 0 && (r.eng.VNodeCount()+r.eng.MNodeCount())*2 > r.opt.MaxNodes {
-		return nil
-	}
+	return r.sift()
+}
+
+// siftHeadroom reports whether a sifting pass fits the hard budget:
+// sifting under a nearly exhausted budget would spend the remaining
+// headroom on intermediate diagrams and abort the run over a remedy.
+func (r *runner) siftHeadroom() bool {
+	return r.opt.MaxNodes <= 0 || r.live()*2 <= r.opt.MaxNodes
+}
+
+// sift runs one sifting pass over the state DD — for the Reorder
+// trigger and for the governor's rung 3 alike — and adopts the order it
+// finds. A pass swaps at most 8·n² times. A cooperative abort inside
+// sifting (the swap primitive probes the deadline/budget/cancellation
+// layer on every swap) leaves r.v and r.order untouched, since SiftV
+// works on a scratch copy of the order, and surfaces through the usual
+// guard.
+func (r *runner) sift() error {
+	n := r.c.NQubits
 	order := r.order
 	if order == nil {
-		order = dd.IdentityOrder(r.c.NQubits)
+		order = dd.IdentityOrder(n)
 	} else {
 		order = append([]int(nil), order...)
 	}
@@ -946,7 +902,7 @@ func (r *runner) maybeReorder() error {
 		sres   dd.SiftResult
 	)
 	if err := r.guard(r.next, func() {
-		sifted, sres = r.eng.SiftV(r.v, order, r.siftMaxSwaps())
+		sifted, sres = r.eng.SiftV(r.v, order, 8*n*n)
 	}); err != nil {
 		return err
 	}
@@ -1007,7 +963,6 @@ func (r *runner) applyOp(op dd.MEdge, gateIndex, combined int, fromBlock bool, b
 		fromBlock:  fromBlock,
 		block:      blockName,
 		reuse:      reuse,
-		fallback:   r.inFallback,
 	})
 }
 
@@ -1021,9 +976,9 @@ func (r *runner) blockIndex() map[int]circuit.Block {
 }
 
 // runBlock executes a repeated block DD-repeating style: combine the
-// body once, then apply the same matrix Repeat times. Budget aborts —
-// while combining or applying — degrade to sequential replay of the
-// block's remaining gates.
+// body once, then apply the same matrix Repeat times. A budget abort —
+// while combining or applying — schedules a replay of the block's
+// remaining gates.
 func (r *runner) runBlock(b circuit.Block) error {
 	body := b.End - b.Start
 	end := b.Start + b.Repeat*body
@@ -1038,11 +993,7 @@ func (r *runner) runBlock(b circuit.Block) error {
 		}
 	})
 	if err != nil {
-		if ferr := r.tryFallback(err, b.Start, end); ferr != nil {
-			return ferr
-		}
-		r.next = end
-		return nil
+		return r.replay(err, end)
 	}
 	r.blockMats = append(r.blockMats, mat)
 	// A corruption repair inside the loop swaps the engine and nils
@@ -1063,11 +1014,7 @@ func (r *runner) runBlock(b circuit.Block) error {
 		})
 		if err != nil {
 			popBlockMat()
-			if ferr := r.tryFallback(err, r.applied, end); ferr != nil {
-				return ferr
-			}
-			r.next = end
-			return nil
+			return r.replay(err, end)
 		}
 		r.maybeGC()
 		if err := r.maybeGovern(); err != nil {
@@ -1158,7 +1105,7 @@ func (r *runner) checkpoint() *Checkpoint {
 		NQubits:     r.c.NQubits,
 		NextGate:    r.applied,
 		Seed:        r.opt.Seed,
-		Fallbacks:   r.fallbacks,
+		Fallbacks:   replays(r.gov.journal),
 		Strategy:    r.opt.Strategy.Name(),
 		Repairs:     repairs,
 		Order:       append([]int(nil), r.order...),
@@ -1185,24 +1132,20 @@ func (r *runner) maybeCheckpoint() error {
 	return nil
 }
 
-// gcThreshold couples the GC trigger to the node budget: with a budget
-// armed, collection must keep the live set comfortably below the cap or
-// every operation would abort on garbage.
+// gcThreshold couples the GC trigger to the live budget — the tighter
+// of MaxNodes and the soft budget, both as grown by GrowBudget grants:
+// collection must keep the live set comfortably below the cap or every
+// operation would abort on garbage, and below the pressure watermarks
+// whenever the workload allows, so the governor only engages when GC
+// alone no longer suffices.
 func (r *runner) gcThreshold() int {
 	th := r.opt.GCThreshold
-	if r.opt.MaxNodes > 0 {
-		if b := r.opt.MaxNodes * 3 / 4; th < 0 || b < th {
-			th = b
-		}
+	b := r.opt.MaxNodes
+	if s := r.opt.SoftBudget; s > 0 && (b <= 0 || s < b) {
+		b = s
 	}
-	// The soft budget clamps the same way: routine collection should
-	// keep occupancy below the pressure watermarks whenever the
-	// workload allows, so the governor only engages when GC alone no
-	// longer suffices.
-	if r.opt.SoftBudget > 0 {
-		if b := r.opt.SoftBudget * 3 / 4; th < 0 || b < th {
-			th = b
-		}
+	if b > 0 && (th < 0 || b*3/4 < th) {
+		th = b * 3 / 4
 	}
 	return th
 }
@@ -1221,7 +1164,7 @@ func (r *runner) maybeGC() {
 	if th < 0 {
 		return
 	}
-	if r.eng.VNodeCount()+r.eng.MNodeCount() <= th {
+	if r.live() <= th {
 		return
 	}
 	r.collect()

@@ -82,6 +82,7 @@ func circuitRun(c *circuit.Circuit, opt core.Options) func() (golden, error) {
 func TestGoldenRuns(t *testing.T) {
 	sup := supremacy.Circuit(4, 4, 13, 1)
 	g14 := grover.Circuit(14, 0x2d3b, 0)
+	g10 := grover.Circuit(10, 3, 0)
 	tfim, err := hamiltonian.TFIM{Sites: 10, J: 1, H: 0.9}.TrotterCircuit(1, 28)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +125,23 @@ func TestGoldenRuns(t *testing.T) {
 			// weights; nodes, add and mul recursions each +0.07 % or
 			// less.
 			golden{"a0290f9827766b36c7786ef08c18f5355768eb794b28dabd3391a717d73f18b6", 189641, 468408, 86576, 190665},
+		},
+		{
+			"grover_10/s1M_budget150",
+			circuitRun(g10, core.Options{Strategy: core.MaxSize{SMax: 1 << 20}, MaxNodes: 150}),
+			// Budget-degraded: the combination trips the 150-node budget
+			// and each tripped gate run is replayed gate by gate (17
+			// replays). Fidelity 1 + 2.2e-13; the same digest as the
+			// governed combine-all row below.
+			golden{"8c6a19304dd42536e3cfd6f349b405de0b678b114f3aa5c33a75283fb23597e1", 1671, 92382, 49772, 27337},
+		},
+		{
+			"grover_10/combine-all_budget150_ladder",
+			circuitRun(g10, core.Options{Strategy: core.CombineAll{}, MaxNodes: 150, Degrade: "ladder"}),
+			// The ladder governs against MaxNodes: rung-1 collections
+			// plus 16 replays of budget-tripped gate runs. Fidelity
+			// 1 + 2.2e-13.
+			golden{"8c6a19304dd42536e3cfd6f349b405de0b678b114f3aa5c33a75283fb23597e1", 1796, 96905, 51065, 28090},
 		},
 		{
 			"shor_15_7/k4",

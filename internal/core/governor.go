@@ -1,20 +1,21 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dd"
 )
 
-// Memory-pressure governor: staged graceful degradation instead of
+// Degradation ladder: staged graceful degradation instead of
 // budget-cliff aborts.
 //
 // The engine's pressure signal (dd.SetSoftBudget / dd.Pressure) bands
 // live-node occupancy against watermark fractions of a soft budget.
 // The governor consults it at flush boundaries — the only points where
-// the run is in a consistent, checkpointable state — and walks a
-// degradation ladder, taking the cheapest measure that clears the
-// pressure before reaching for the next:
+// the run is in a consistent, checkpointable state — and walks the
+// ladder, taking the cheapest measure that clears the pressure before
+// reaching for the next:
 //
 //	rung 1 (≥ low)       emergency GC + compute-cache purge — exact,
 //	                     pointer-preserving.
@@ -23,6 +24,14 @@ import (
 //	                     falls below the low watermark — exact; the
 //	                     pending matrix is applied just like a regular
 //	                     flush, only earlier.
+//	       (critical)    replay: when the hard budget (MaxNodes) aborts
+//	                     a combination, a flush or a block, the
+//	                     accumulator is discarded and the tripped gate
+//	                     run is re-applied one gate DD and one
+//	                     matrix-vector product at a time (Eq. 1, the
+//	                     low-memory end of the paper's trade), pinned
+//	                     sequential until its last gate. A budget abort
+//	                     during the replay is final.
 //	rung 3 (≥ high)      a sifting pass to shrink the state DD itself —
 //	                     exact up to weight re-canonicalisation (the
 //	                     same contract as Options.Reorder "sifting").
@@ -39,11 +48,14 @@ import (
 //	                     the park checkpoint) instead of tripping the
 //	                     hard budget mid-kernel.
 //
-// Every action is journaled into Result.Degradations and emitted as an
-// obs KindPressure event with dd_pressure_* metrics. Under chaos
-// injection (dd.InjectPressure) the level never subsides, so a single
-// governor look deterministically walks every rung the injected level
-// unlocks — that is how CI forces each rung.
+// Rungs 1, 3, 4 and 5 and rung 2's flush arm only under SoftBudget or
+// Degrade "ladder"/"approx"; the replay needs only MaxNodes, and
+// Degrade "off" switches it off too. Every action is journaled into
+// Result.Degradations and emitted as an obs KindPressure event with
+// dd_pressure_* metrics. Under chaos injection (dd.InjectPressure) the
+// level never subsides, so a single governor look deterministically
+// walks every rung the injected level unlocks — that is how CI forces
+// each rung.
 
 // Degrade modes (Options.Degrade).
 const (
@@ -52,16 +64,17 @@ const (
 	degradeApprox = "approx"
 )
 
-// Degradation is one journaled action of the governor's ladder.
+// Degradation is one journaled action of the degradation ladder.
 type Degradation struct {
 	// GateIndex is the gate index through which the state was applied
 	// when the action was taken.
 	GateIndex int `json:"gate"`
-	// Rung is the ladder rung (1–5; 0 for a budget grow, which is a
-	// headroom acquisition rather than a degradation).
+	// Rung is the ladder rung (1–5, with both "flush" and "replay" on
+	// rung 2; 0 for a budget grow, which is a headroom acquisition
+	// rather than a degradation).
 	Rung int `json:"rung"`
-	// Action names the measure: "gc", "flush", "sift", "grow",
-	// "approx", "park".
+	// Action names the measure: "gc", "flush", "replay", "sift",
+	// "grow", "approx", "park".
 	Action string `json:"action"`
 	// Level is the pressure band that triggered the action ("low",
 	// "high", "critical").
@@ -75,11 +88,15 @@ type Degradation struct {
 	Fidelity float64 `json:"fidelity,omitempty"`
 }
 
-// governorArmed reports whether the options (after normalizeGovernor)
-// call for a governor.
-func governorArmed(opt Options) bool {
-	return opt.Degrade == degradeLadder || opt.Degrade == degradeApprox
-}
+// pressureMarks are the occupancy fractions of the soft budget at which
+// the pressure level steps up (zero value: dd.DefaultWatermarks,
+// 70/85/95 %). A variable only so tests can band earlier
+// (export_test.go).
+var pressureMarks dd.Watermarks
+
+// errReplay is returned by a step whose budget abort the ladder turned
+// into a replay; the main loop continues at the rewound gate.
+var errReplay = errors.New("core: replaying a budget-tripped gate run")
 
 // normalizeGovernor validates the governor knobs and resolves their
 // defaults in place: SoftBudget implies Degrade "ladder"; Degrade
@@ -92,11 +109,6 @@ func normalizeGovernor(opt *Options, nqubits int) error {
 	default:
 		return &ConfigError{Option: "Degrade",
 			Msg: fmt.Sprintf("unknown mode %q (want off, ladder or approx)", opt.Degrade)}
-	}
-	if !opt.PressureWatermarks.Valid() {
-		w := opt.PressureWatermarks
-		return &ConfigError{Option: "PressureWatermarks",
-			Msg: fmt.Sprintf("watermarks must be strictly increasing within (0,1], got %g/%g/%g", w.Low, w.High, w.Critical)}
 	}
 	if opt.SoftBudget < 0 {
 		return &ConfigError{Option: "SoftBudget",
@@ -144,17 +156,25 @@ func normalizeGovernor(opt *Options, nqubits int) error {
 	return nil
 }
 
-// governor holds the ladder state of one run.
+// governor holds the ladder state of one run. The current soft budget
+// is r.opt.SoftBudget (raised by Options.GrowBudget grants).
 type governor struct {
-	r    *runner
-	mode string // degradeLadder or degradeApprox
-	// soft is the current soft budget (grows via Options.GrowBudget).
-	soft int
+	r *runner
+	// mode is degradeLadder or degradeApprox when the pressure rungs
+	// are armed, "" or degradeOff otherwise.
+	mode string
+	// replayArmed arms the budget-abort replay (MaxNodes set, Degrade
+	// not "off").
+	replayArmed bool
+	// replayEnd is the gate index through which a scheduled replay
+	// pins the run to sequential: the replay holds while applied <
+	// replayEnd.
+	replayEnd int
 	// approxNodes is rung 4's state-size target.
 	approxNodes int
-	// pinned forces ShouldApply while set: the strategy is held at
-	// sequential until occupancy falls below the low watermark.
-	pinned bool
+	// pinSeq is rung 2's sticky half: ShouldApply is forced until
+	// occupancy falls below the low watermark.
+	pinSeq bool
 	// journal is the run's Result.Degradations.
 	journal []Degradation
 	// fidelity is the cumulative fidelity bound (1 until rung 4 cuts).
@@ -172,7 +192,7 @@ func newGovernor(r *runner) *governor {
 	return &governor{
 		r:              r,
 		mode:           r.opt.Degrade,
-		soft:           r.opt.SoftBudget,
+		replayArmed:    r.opt.MaxNodes > 0 && r.opt.Degrade != degradeOff,
 		approxNodes:    r.opt.ApproxNodes,
 		fidelity:       1,
 		lastSiftGate:   -1,
@@ -180,28 +200,76 @@ func newGovernor(r *runner) *governor {
 	}
 }
 
+// ladderArmed reports whether the pressure rungs are armed (after
+// normalizeGovernor: SoftBudget or Degrade "ladder"/"approx").
+func (g *governor) ladderArmed() bool {
+	return g.mode == degradeLadder || g.mode == degradeApprox
+}
+
+// replaying reports whether a replay holds the run at sequential.
+func (g *governor) replaying() bool { return g.r.applied < g.replayEnd }
+
+// pinned reports whether the ladder holds the strategy at sequential:
+// rung 2's pin or a replay in progress.
+func (g *governor) pinned() bool { return g.pinSeq || g.replaying() }
+
 // maybeGovern consults the pressure signal at a flush boundary and, if
-// a watermark is crossed, walks the ladder. The returned error is a
-// *RunError only for a rung-5 park or a genuine abort inside a rung.
+// a watermark is crossed, walks the ladder. It stays out of a replay,
+// which must re-apply exactly the gates that tripped the budget. The
+// returned error is a *RunError for a rung-5 park or a genuine abort
+// inside a rung, and errReplay when rung 2's flush tripped the budget.
 func (r *runner) maybeGovern() error {
 	g := r.gov
-	if g == nil {
+	if !g.ladderArmed() || g.replaying() {
 		return nil
 	}
 	p := r.eng.Pressure()
 	if p.Level == dd.PressureNone {
 		// Recovery: below the low watermark the pin is lifted and the
 		// configured strategy resumes combining.
-		g.pinned = false
+		g.pinSeq = false
 		g.lastGCs = r.eng.Stats().GCs
 		return nil
 	}
 	return g.act(p)
 }
 
-// govPinned reports whether the governor is holding the strategy at
-// sequential (rung 2's sticky half).
-func (r *runner) govPinned() bool { return r.gov != nil && r.gov.pinned }
+// replay is the ladder's answer to a budget abort (FailureBudget)
+// inside a combination, a flush or a block whose gate run ends at end:
+// discard the accumulator, collect, rewind r.next to the first gate
+// the state does not yet reflect, and pin the run to sequential until
+// end is applied. The main loop then re-applies the run one gate at a
+// time. Any other error, a budget abort during a replay, or a budget
+// abort with replay switched off is returned as is.
+func (r *runner) replay(err *RunError, end int) error {
+	g := r.gov
+	if err.Kind != FailureBudget || !g.replayArmed || g.replaying() {
+		return err
+	}
+	before := r.live()
+	r.accValid = false
+	r.combined = 0
+	r.collect()
+	r.next = r.applied
+	g.replayEnd = end
+	g.note(2, "replay", dd.PressureCritical, before, r.live(), 0)
+	return errReplay
+}
+
+// replays counts the budget-abort replays in a degradation journal.
+func replays(journal []Degradation) int {
+	n := 0
+	for _, d := range journal {
+		if d.Action == "replay" {
+			n++
+		}
+	}
+	return n
+}
+
+// Replays counts the run's budget-abort replays (the "replay" entries
+// of Degradations).
+func (res *Result) Replays() int { return replays(res.Degradations) }
 
 // act walks the ladder for one boundary. Each rung re-reads the
 // pressure afterwards and stops as soon as the level has dropped below
@@ -229,12 +297,12 @@ func (g *governor) act(p dd.PressureInfo) error {
 	// is flushed — applied to the state exactly as a regular flush
 	// would, only earlier — and the strategy is pinned to sequential
 	// until occupancy falls below the low watermark.
-	if r.accValid || !g.pinned {
+	if r.accValid || !g.pinSeq {
 		before, lvl := p.Live, p.Level
 		if err := r.flush(r.next); err != nil {
 			return err
 		}
-		g.pinned = true
+		g.pinSeq = true
 		r.collect()
 		g.lastGCs = r.eng.Stats().GCs
 		p = r.eng.Pressure()
@@ -245,14 +313,14 @@ func (g *governor) act(p dd.PressureInfo) error {
 	}
 
 	// Rung 3 (≥ high persists): one sifting pass to shrink the state
-	// DD itself. Skipped while a combined block matrix is alive (it
-	// would go stale against the new order), when sifting's own
-	// intermediates would not fit the hard budget, and re-attempted at
-	// most once per gate position.
-	if g.lastSiftGate != r.applied && len(r.blockMats) == 0 && g.siftHeadroom() {
+	// DD itself, even in fixed-order runs. Skipped while a combined
+	// block matrix is alive (it would go stale against the new order),
+	// when sifting's own intermediates would not fit the hard budget,
+	// and re-attempted at most once per gate position.
+	if g.lastSiftGate != r.applied && len(r.blockMats) == 0 && r.siftHeadroom() {
 		g.lastSiftGate = r.applied
 		before, lvl := p.Live, p.Level
-		if err := r.governorSift(); err != nil {
+		if err := r.sift(); err != nil {
 			return err
 		}
 		p = r.eng.Pressure()
@@ -265,7 +333,7 @@ func (g *governor) act(p dd.PressureInfo) error {
 	// Critical: ask for more headroom before degrading further. In a
 	// batch, finished siblings' unused budget shares come back here.
 	if r.opt.GrowBudget != nil {
-		if nb := r.opt.GrowBudget(g.soft); nb > g.soft {
+		if nb := r.opt.GrowBudget(r.opt.SoftBudget); nb > r.opt.SoftBudget {
 			before := p.Live
 			g.grow(nb)
 			p = r.eng.Pressure()
@@ -306,56 +374,12 @@ func (g *governor) act(p dd.PressureInfo) error {
 // of the existing cap).
 func (g *governor) grow(nb int) {
 	r := g.r
-	g.soft = nb
+	r.opt.SoftBudget = nb
 	if r.opt.MaxNodes > 0 && nb > r.opt.MaxNodes {
 		r.opt.MaxNodes = nb
 		r.eng.SetBudget(nb)
 	}
-	r.eng.SetSoftBudget(nb, r.opt.PressureWatermarks)
-}
-
-// siftHeadroom mirrors maybeReorder's guard: sifting under a nearly
-// exhausted hard budget would spend the remaining headroom on
-// intermediate diagrams and abort the run over a remedy.
-func (g *governor) siftHeadroom() bool {
-	r := g.r
-	if r.opt.MaxNodes <= 0 {
-		return true
-	}
-	return (r.eng.VNodeCount()+r.eng.MNodeCount())*2 <= r.opt.MaxNodes
-}
-
-// governorSift runs one sifting pass unconditionally (unlike
-// maybeReorder it is not gated on Options.Reorder — under pressure the
-// governor may shrink the state even in fixed-order runs). The order,
-// position map and sift baseline are updated exactly as maybeReorder
-// does, so a subsequent Reorder "sifting" trigger stays consistent.
-func (r *runner) governorSift() error {
-	order := r.order
-	if order == nil {
-		order = dd.IdentityOrder(r.c.NQubits)
-	} else {
-		order = append([]int(nil), order...)
-	}
-	var (
-		sifted dd.VEdge
-		sres   dd.SiftResult
-	)
-	if err := r.guard(r.next, func() {
-		sifted, sres = r.eng.SiftV(r.v, order, r.siftMaxSwaps())
-	}); err != nil {
-		return err
-	}
-	r.v = sifted
-	r.order = order
-	r.buildPos()
-	r.stateSz = sres.After
-	r.siftBase = sres.After
-	r.collect()
-	if r.obs != nil {
-		r.obs.reorderEv(r.applied, sres)
-	}
-	return nil
+	r.eng.SetSoftBudget(nb, pressureMarks)
 }
 
 // approximate runs rung 4: cut the state DD down to g.approxNodes,
@@ -365,12 +389,11 @@ func (r *runner) governorSift() error {
 // the next rung without an error.
 func (g *governor) approximate(p *dd.PressureInfo) (bool, error) {
 	r := g.r
-	if r.stateSz < 0 {
-		if err := r.guard(r.next, func() { r.stateSz = r.eng.SizeV(r.v) }); err != nil {
-			return false, err
-		}
+	var sz int
+	if err := r.guard(r.next, func() { sz = r.stateSize() }); err != nil {
+		return false, err
 	}
-	if r.stateSz <= g.approxNodes {
+	if sz <= g.approxNodes {
 		return false, nil // the state is not what fills the budget
 	}
 	before := p.Live

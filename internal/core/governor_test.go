@@ -34,10 +34,6 @@ func TestGovernorConfigErrors(t *testing.T) {
 		{"unknown mode", core.Options{Degrade: "gently"}, "Degrade"},
 		{"negative soft budget", core.Options{SoftBudget: -1}, "SoftBudget"},
 		{"soft above hard", core.Options{SoftBudget: 100, MaxNodes: 50}, "SoftBudget"},
-		{"unordered watermarks", core.Options{
-			SoftBudget:         1000,
-			PressureWatermarks: dd.Watermarks{Low: 0.9, High: 0.8, Critical: 0.95},
-		}, "PressureWatermarks"},
 		{"mode without budget", core.Options{Degrade: "ladder"}, "Degrade"},
 		{"approx nodes in ladder mode", core.Options{
 			SoftBudget: 1000, Degrade: "ladder", ApproxNodes: 64,
@@ -293,10 +289,11 @@ func TestGovernorApproxFidelityOracle(t *testing.T) {
 // that blows a node budget which hard-aborts on the budget cliff
 // completes under the same budget once the governor is armed, because
 // rung 2 flushes the accumulated matrix early and pins the strategy to
-// sequential. The rescue uses only the pointer-exact rungs (1-2), so
-// the amplitudes are byte-identical to the unconstrained run's (if the
-// sift rung ever joined in, agreement would be up to weight
-// canonicalisation instead).
+// sequential. The soft rungs must do the rescue on their own: the
+// journal holds no budget-abort replay. The rescue uses only the
+// pointer-exact rungs (1-2), so the amplitudes are byte-identical to
+// the unconstrained run's (if the sift rung ever joined in, agreement
+// would be up to weight canonicalisation instead).
 func TestGovernorSoftBudgetRescue(t *testing.T) {
 	c := grover.Circuit(10, 0x2d5, 0)
 	// The budget and watermarks are pinned empirically: 150 live nodes
@@ -314,25 +311,24 @@ func TestGovernorSoftBudgetRescue(t *testing.T) {
 	}
 	refAmps := ref.State.ToVector()
 
-	// Baseline: the budget with fallback disabled is a cliff.
+	// Baseline: the budget with the ladder off is a cliff.
 	st, err := core.NewStrategy("combine-all", core.StrategyKnobs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Run(c, core.Options{Strategy: st, MaxNodes: budget, DisableFallback: true})
+	_, err = core.Run(c, core.Options{Strategy: st, MaxNodes: budget, Degrade: "off"})
 	var re *core.RunError
 	if !errors.As(err, &re) || re.Kind != core.FailureBudget {
 		t.Fatalf("baseline should hard-abort on the budget cliff %d, got %v", budget, err)
 	}
 
 	// Same budget, governor armed: the run must complete.
+	core.SetPressureWatermarks(t, marks)
 	st2, _ := core.NewStrategy("combine-all", core.StrategyKnobs{})
 	res, err := core.Run(c, core.Options{
-		Strategy:           st2,
-		MaxNodes:           budget,
-		DisableFallback:    true,
-		SoftBudget:         budget,
-		PressureWatermarks: marks,
+		Strategy:   st2,
+		MaxNodes:   budget,
+		SoftBudget: budget,
 	})
 	if err != nil {
 		t.Fatalf("governed run under the cliff budget %d: %v", budget, err)
@@ -340,6 +336,9 @@ func TestGovernorSoftBudgetRescue(t *testing.T) {
 	top, rungs := maxRung(res.Degradations)
 	if !rungs[2] {
 		t.Fatalf("rungs %v (want the flush-and-pin rung)", rungs)
+	}
+	if n := res.Replays(); n != 0 {
+		t.Fatalf("%d budget-abort replays: the soft rungs must rescue the run on their own", n)
 	}
 	if res.FidelityBound != 1 {
 		t.Fatalf("exact ladder reports fidelity bound %v", res.FidelityBound)
@@ -384,5 +383,48 @@ func TestGovernorParkCheckpointFailure(t *testing.T) {
 	}
 	if core.Retryable(err) {
 		t.Fatal("a park without a checkpoint must not be retryable")
+	}
+}
+
+// TestGovernCrossKnobs runs the knobs that touch the degradation
+// ladder together on one DD-repeating Grover circuit: a node budget
+// that trips the combined block (a replay), the ladder governing
+// against it (a rung-1 collection before the block), k-operations
+// flushes and sifting forced at every flush. The journal must be
+// ordered by gate, the engine must audit clean, and the amplitudes
+// must match the dense oracle up to sifting's re-canonicalisation.
+func TestGovernCrossKnobs(t *testing.T) {
+	core.ForceSifting(t)
+	c := grover.Circuit(9, 5, 0)
+	res, err := core.Run(c, core.Options{
+		UseBlocks: true,
+		Strategy:  core.KOperations{K: 4},
+		MaxNodes:  120,
+		Degrade:   "ladder",
+		Reorder:   "sifting",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replays() == 0 || res.Replays() == len(res.Degradations) {
+		t.Fatalf("journal %+v: want at least one replay and one soft rung", res.Degradations)
+	}
+	if res.Stats.SiftPasses == 0 {
+		t.Fatal("forced sifting never ran")
+	}
+	for i := 1; i < len(res.Degradations); i++ {
+		if res.Degradations[i].GateIndex < res.Degradations[i-1].GateIndex {
+			t.Fatalf("journal out of gate order: %+v", res.Degradations)
+		}
+	}
+	if err := res.Engine.Audit(); err != nil {
+		t.Fatalf("engine audit: %v", err)
+	}
+	if err := res.Engine.AuditV(res.State); err != nil {
+		t.Fatalf("state audit: %v", err)
+	}
+	got := dd.VectorInOrder(res.State, res.Order)
+	if f := fidelity(got, dense.Simulate(c).Amps); f < 1-siftFidelityTol {
+		t.Fatalf("fidelity %.12f against the dense oracle", f)
 	}
 }

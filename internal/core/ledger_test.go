@@ -100,3 +100,53 @@ func TestRunBatchPressurePark(t *testing.T) {
 		t.Fatalf("journal ends with %+v, want the rung-5 park", last)
 	}
 }
+
+// TestGCThresholdFollowsBudgetGrant: once a GrowBudget grant raises the
+// soft budget, routine GC clamps to ¾ of the granted budget, not of the
+// one the run started with — the same live budget the pressure bands
+// and a repaired engine use. The runner is built by hand so the test
+// can read its threshold after the run; injected critical pressure
+// makes the first governor look take the grant and then park.
+func TestGCThresholdFollowsBudgetGrant(t *testing.T) {
+	t.Setenv("DD_CHAOS", "1")
+	eng := dd.New()
+	if !eng.InjectPressure(dd.PressureCritical) {
+		t.Fatal("chaos injection refused under DD_CHAOS=1")
+	}
+	c := circuit.New(4)
+	for q := 0; q < 4; q++ {
+		c.H(q)
+	}
+	opt := Options{
+		Strategy:    Sequential{},
+		GCThreshold: defaultGCThreshold,
+		MaxNodes:    1000,
+		SoftBudget:  1000,
+		GrowBudget:  func(cur int) int { return 4 * cur },
+	}
+	if err := normalizeGovernor(&opt, c.NQubits); err != nil {
+		t.Fatal(err)
+	}
+	r := &runner{eng: eng, c: c, opt: opt, ctx: context.Background(), v: eng.ZeroState(c.NQubits), stateSz: -1}
+	r.gov = newGovernor(r)
+	eng.SetSoftBudget(opt.SoftBudget, pressureMarks)
+	defer eng.SetSoftBudget(0, dd.Watermarks{})
+	if th := r.gcThreshold(); th != 750 {
+		t.Fatalf("gcThreshold() = %d before the grant, want 750", th)
+	}
+
+	var re *RunError
+	if err := r.run(); !errors.As(err, &re) || re.Kind != FailurePressure {
+		t.Fatalf("err = %v, want the rung-5 park under injected critical pressure", err)
+	}
+	granted := false
+	for _, d := range r.gov.journal {
+		granted = granted || d.Action == "grow"
+	}
+	if !granted {
+		t.Fatalf("journal %+v holds no grant", r.gov.journal)
+	}
+	if th := r.gcThreshold(); th != 3000 {
+		t.Fatalf("gcThreshold() = %d after a grant to 4000, want 3000", th)
+	}
+}

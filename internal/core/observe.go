@@ -40,7 +40,7 @@ type runMetrics struct {
 	// table order.
 	engine                   []*obs.Counter
 	cacheInvalidations       *obs.Counter
-	gcs, fallbacks, aborts   *obs.Counter
+	gcs, aborts              *obs.Counter
 	checkpoints              *obs.Counter
 	verifications            *obs.Counter
 	verifyFailures           *obs.Counter
@@ -83,7 +83,6 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		engine:             engine,
 		cacheInvalidations: invalidations,
 		gcs:                r.Counter("dd_gc_total", "Engine garbage collections."),
-		fallbacks:          r.Counter("dd_fallbacks_total", "Budget aborts degraded to sequential replay."),
 		aborts:             r.Counter("dd_aborts_total", "Runs aborted (deadline, budget, cancellation, injection, panic)."),
 		checkpoints:        r.Counter("dd_checkpoints_total", "Checkpoints handed to the caller."),
 		verifications:      r.Counter("dd_verifications_total", "Integrity verification passes."),
@@ -154,7 +153,6 @@ type stepInfo struct {
 	fromBlock           bool
 	block               string
 	reuse               bool
-	fallback            bool
 }
 
 // step records one applied operation: trace point, metrics, and a
@@ -171,7 +169,6 @@ func (o *runObserver) step(si stepInfo) {
 			FromBlock:  si.fromBlock,
 			BlockName:  si.block,
 			BlockReuse: si.reuse,
-			Fallback:   si.fallback,
 		})
 	}
 	cur := o.eng.Stats()
@@ -195,7 +192,6 @@ func (o *runObserver) step(si stepInfo) {
 		OpNodes:        si.opNodes,
 		StateNodes:     si.stateNodes,
 		EngineCounters: eventCounters(&delta),
-		Fallback:       si.fallback,
 		FromBlock:      si.fromBlock,
 		Block:          si.block,
 		BlockReuse:     si.reuse,
@@ -213,13 +209,6 @@ func eventCounters(d *dd.Stats) obs.EngineCounters {
 	ec.GCs = d.GCs
 	ec.GCPauseNS = d.GCPause.Nanoseconds()
 	return ec
-}
-
-func (o *runObserver) fallback(gate, gates int) {
-	if o.met != nil {
-		o.met.fallbacks.Inc()
-	}
-	o.emit(obs.Event{Kind: obs.KindFallback, Gate: gate, Combined: gates})
 }
 
 func (o *runObserver) checkpointEv(gate int) {
@@ -280,8 +269,8 @@ func (o *runObserver) reorderEv(gate int, sr dd.SiftResult) {
 	})
 }
 
-// pressureEv records one action of the memory-pressure governor's
-// degradation ladder.
+// pressureEv records one action of the degradation ladder, a
+// budget-abort replay included.
 func (o *runObserver) pressureEv(gate int, d Degradation) {
 	if o.met != nil {
 		o.met.pressureActions.Inc()
@@ -339,7 +328,7 @@ func (o *runObserver) engineSwapped(fresh *dd.Engine) {
 // finish emits the abort event (for failed runs) and the closing
 // run_end event carrying the run totals: totals is the run's counter
 // delta across every engine it touched.
-func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, fidelityBound float64, totals dd.Stats, err error) {
+func (o *runObserver) finish(applied, stateNodes, degradations int, fidelityBound float64, totals dd.Stats, err error) {
 	abort := ""
 	var re *RunError
 	if errors.As(err, &re) {
@@ -358,7 +347,6 @@ func (o *runObserver) finish(applied, stateNodes, fallbacks, degradations int, f
 		StateNodes:     stateNodes,
 		EngineCounters: eventCounters(&totals),
 		PeakNodes:      totals.PeakVNodes + totals.PeakMNodes,
-		Fallbacks:      fallbacks,
 		Abort:          abort,
 		Swaps:          totals.ReorderSwaps,
 		SiftPasses:     totals.SiftPasses,

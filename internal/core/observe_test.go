@@ -151,7 +151,7 @@ func TestTraceMatchesEvents(t *testing.T) {
 		s := steps[i]
 		if tp.GateIndex != s.Gate || tp.OpSize != s.OpNodes || tp.StateSize != s.StateNodes ||
 			tp.Combined != s.Combined || tp.FromBlock != s.FromBlock ||
-			tp.BlockName != s.Block || tp.BlockReuse != s.BlockReuse || tp.Fallback != s.Fallback {
+			tp.BlockName != s.Block || tp.BlockReuse != s.BlockReuse {
 			t.Fatalf("trace[%d] %+v != event %+v", i, tp, s)
 		}
 	}
@@ -182,7 +182,9 @@ func TestTraceUnchangedByObservability(t *testing.T) {
 }
 
 // TestFallbackAndGCEvents drives a budget-constrained run and checks
-// the degradation and GC paths show up in the stream and the registry.
+// the replay and GC paths show up in the stream and the registry:
+// every journal entry is one KindPressure event, and their count is
+// dd_pressure_actions_total.
 func TestFallbackAndGCEvents(t *testing.T) {
 	c := grover.Circuit(10, 3, grover.Iterations(10))
 	ring := obs.NewRing(1 << 16)
@@ -192,32 +194,39 @@ func TestFallbackAndGCEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fallbacks == 0 {
-		t.Fatal("budget never tripped; fallback path untested")
+	if res.Replays() == 0 {
+		t.Fatal("budget never tripped; replay path untested")
 	}
 	evs := ring.Events()
-	fbs := eventsOfKind(evs, obs.KindFallback)
-	if len(fbs) != res.Fallbacks {
-		t.Fatalf("%d fallback events, Result says %d", len(fbs), res.Fallbacks)
+	pes := eventsOfKind(evs, obs.KindPressure)
+	if len(pes) != len(res.Degradations) {
+		t.Fatalf("%d pressure events, journal holds %d entries", len(pes), len(res.Degradations))
 	}
-	if fbs[0].Combined <= 0 {
-		t.Fatalf("fallback event carries no replay extent: %+v", fbs[0])
+	for i, e := range pes {
+		d := res.Degradations[i]
+		if e.Action != d.Action || e.Rung != d.Rung || e.Level != d.Level ||
+			e.NodesBefore != d.LiveBefore || e.NodesAfter != d.LiveAfter {
+			t.Fatalf("pressure event %d %+v does not match journal entry %+v", i, e, d)
+		}
 	}
 	if len(eventsOfKind(evs, obs.KindGC)) == 0 {
 		t.Fatal("budgeted run emitted no gc events")
 	}
 	end := evs[len(evs)-1]
-	if end.Kind != obs.KindRunEnd || end.Fallbacks != res.Fallbacks || end.Abort != "" {
+	if end.Kind != obs.KindRunEnd || end.Degradations != len(res.Degradations) || end.Abort != "" {
 		t.Fatalf("run_end = %+v", end)
 	}
-	snap := reg.Snapshot()
-	for _, m := range snap {
-		if m.Name == "dd_fallbacks_total" && int(m.Value) != res.Fallbacks {
-			t.Fatalf("dd_fallbacks_total = %g, want %d", m.Value, res.Fallbacks)
+	var actions float64 = -1
+	for _, m := range reg.Snapshot() {
+		if m.Name == "dd_pressure_actions_total" {
+			actions = m.Value
 		}
 		if m.Name == "dd_gc_total" && m.Value == 0 {
 			t.Fatal("dd_gc_total = 0 despite gc events")
 		}
+	}
+	if int(actions) != len(pes) {
+		t.Fatalf("dd_pressure_actions_total = %g, want %d", actions, len(pes))
 	}
 }
 

@@ -454,7 +454,7 @@ func (p *Planner) warmBucket() int {
 }
 
 // noteApply implements runBound: the runner reports every applied
-// operation (flush, fallback replay, block apply). For a planner flush
+// operation (flush, budget-abort replay step, block apply). For a planner flush
 // this is where the cost table learns what targeting the current
 // window actually cost — the probe now spans the window's
 // matrix-matrix absorption AND the matrix-vector apply — and the next

@@ -22,15 +22,12 @@ import (
 	"repro/internal/supremacy"
 )
 
-// siftHard returns options that force a sifting pass at essentially
-// every flush boundary — the worst case for order bookkeeping.
-func siftHard(st core.Strategy) core.Options {
-	return core.Options{
-		Strategy:     st,
-		Reorder:      "sifting",
-		SiftMinNodes: 1,
-		SiftGrowth:   1,
-	}
+// siftHard returns options that, for the rest of the test, force a
+// sifting pass at essentially every flush boundary — the worst case for
+// order bookkeeping.
+func siftHard(t *testing.T, st core.Strategy) core.Options {
+	core.ForceSifting(t)
+	return core.Options{Strategy: st, Reorder: "sifting"}
 }
 
 // fidelity returns |<b|a>|² for two amplitude slices.
@@ -85,7 +82,7 @@ func TestReorderDifferentialAcrossStrategies(t *testing.T) {
 		refAmps := ref.State.ToVector()
 		for _, st := range strategies {
 			for _, mode := range []string{"sifting", "static"} {
-				opt := siftHard(st)
+				opt := siftHard(t, st)
 				opt.Reorder = mode
 				res, err := core.Run(c, opt)
 				if err != nil {
@@ -129,7 +126,7 @@ func TestReorderCheckpointResume(t *testing.T) {
 		opt  core.Options
 	}{
 		{"reversed-initial-order", core.Options{InitialOrder: reversed}},
-		{"sifting", siftHard(core.KOperations{K: 4})},
+		{"sifting", siftHard(t, core.KOperations{K: 4})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,7 +190,7 @@ func TestShorGateLevelWithSifting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := shor.SimulateGateLevel(15, 7, siftHard(core.Sequential{}), rand.New(rand.NewSource(5)))
+	res, err := shor.SimulateGateLevel(15, 7, siftHard(t, core.Sequential{}), rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +217,7 @@ func TestReorderOptionValidation(t *testing.T) {
 // run-total stats, and the run_end event carries the totals.
 func TestReorderEventsAndStats(t *testing.T) {
 	ring := obs.NewRing(4096)
-	opt := siftHard(core.Sequential{})
+	opt := siftHard(t, core.Sequential{})
 	opt.EventSink = ring
 	res, err := core.Run(supremacy.Circuit(2, 3, 8, 7), opt)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -74,8 +76,9 @@ func TestRunContextCancelMidMultiplication(t *testing.T) {
 
 // TestBudgetFallbackCompletes is the graceful-degradation acceptance
 // test: a Grover run whose combination strategy cannot fit the node
-// budget must complete anyway by degrading to sequential replay, while
-// the same budget with fallback disabled aborts.
+// budget must complete anyway by replaying the tripped gate runs one
+// gate at a time (rung-2 "replay" entries in the journal), while the
+// same budget with Degrade "off" aborts.
 func TestBudgetFallbackCompletes(t *testing.T) {
 	n := 10
 	c := grover.Circuit(n, 3, grover.Iterations(n))
@@ -85,21 +88,35 @@ func TestBudgetFallbackCompletes(t *testing.T) {
 	}
 
 	st := MaxSize{SMax: 1 << 20} // combine without bound; only the budget stops it
-	res, err := Run(c, Options{Strategy: st, MaxNodes: 150})
+	var fed []Degradation
+	res, err := Run(c, Options{Strategy: st, MaxNodes: 150,
+		OnPressure: func(d Degradation) { fed = append(fed, d) }})
 	if err != nil {
-		t.Fatalf("budgeted run did not complete via fallback: %v", err)
+		t.Fatalf("budgeted run did not complete via replay: %v", err)
 	}
-	if res.Fallbacks == 0 {
-		t.Fatal("budgeted max-size run recorded no fallbacks")
+	if res.Replays() == 0 {
+		t.Fatal("budgeted max-size run recorded no replays")
+	}
+	if !slices.Equal(fed, res.Degradations) {
+		t.Fatalf("OnPressure saw %d entries, journal holds %d", len(fed), len(res.Degradations))
+	}
+	for _, d := range res.Degradations {
+		// Without a soft budget only the replay rung is armed.
+		if d.Action != "replay" || d.Rung != 2 || d.Level != "critical" {
+			t.Fatalf("journal entry %+v, want only rung-2 critical replays", d)
+		}
+		if d.LiveAfter > d.LiveBefore {
+			t.Fatalf("replay collection grew the live set: %+v", d)
+		}
 	}
 	if res.GatesApplied != len(c.Gates) {
 		t.Fatalf("applied %d of %d gates", res.GatesApplied, len(c.Gates))
 	}
 	vectorsMatch(t, res.State.ToVector(), want.State.ToVector())
 
-	// Same cap, fallback disabled: the run must abort with a typed
-	// budget error and still hand back partial progress.
-	res, err = Run(c, Options{Strategy: st, MaxNodes: 150, DisableFallback: true})
+	// Same cap, ladder off: the run must abort with a typed budget
+	// error, hand back partial progress and journal nothing.
+	res, err = Run(c, Options{Strategy: st, MaxNodes: 150, Degrade: "off"})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -107,30 +124,38 @@ func TestBudgetFallbackCompletes(t *testing.T) {
 	if !errors.As(err, &re) || re.Kind != FailureBudget {
 		t.Fatalf("err = %#v, want *RunError with FailureBudget", err)
 	}
-	if res == nil || res.Fallbacks != 0 {
-		t.Fatalf("disabled fallback still degraded: %+v", res)
+	if res == nil || len(res.Degradations) != 0 {
+		t.Fatalf("Degrade off still degraded: %+v", res)
+	}
+	if res.GatesApplied >= len(c.Gates) {
+		t.Fatalf("aborted run reports %d of %d gates applied", res.GatesApplied, len(c.Gates))
 	}
 }
 
-// TestBudgetFallbackTracing checks that replayed steps are flagged in
-// the trace.
+// TestBudgetFallbackTracing checks that a replay re-applies its gate
+// run one gate per traced step: after each replay entry, the trace
+// holds single-gate steps covering the gates up to the next flush the
+// strategy would not have made.
 func TestBudgetFallbackTracing(t *testing.T) {
 	c := grover.Circuit(10, 3, grover.Iterations(10))
 	res, err := Run(c, Options{Strategy: MaxSize{SMax: 1 << 20}, MaxNodes: 150, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fallbacks == 0 {
-		t.Fatal("budget never tripped; fallback path untested")
+	if res.Replays() == 0 {
+		t.Fatal("budget never tripped; replay path untested")
 	}
-	var flagged int
-	for _, tp := range res.Trace {
-		if tp.Fallback {
-			flagged++
+	for _, d := range res.Degradations {
+		// The first step after the replay entry re-applies the gate
+		// the state stopped at, on its own.
+		i := sort.Search(len(res.Trace), func(i int) bool { return res.Trace[i].GateIndex > d.GateIndex })
+		if i == len(res.Trace) {
+			t.Fatalf("no step after the replay at gate %d", d.GateIndex)
 		}
-	}
-	if flagged == 0 {
-		t.Fatal("fallback replay left no trace marks")
+		if tp := res.Trace[i]; tp.GateIndex != d.GateIndex+1 || tp.Combined != 1 {
+			t.Fatalf("step after the replay at gate %d: %+v, want gate %d alone",
+				d.GateIndex, tp, d.GateIndex+1)
+		}
 	}
 }
 

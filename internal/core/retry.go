@@ -20,7 +20,8 @@ var ErrCheckpointWrite = errors.New("core: checkpoint write failed")
 //     construction — the rehearsal of a cosmic-ray class fault.
 //   - FailureBudget: node-budget exhaustion depends on what else is
 //     sharing the engine's budget pool at the time; a later attempt
-//     under a quieter box (or after fallback tuning) can succeed.
+//     under a quieter box (or with the degradation ladder armed) can
+//     succeed.
 //   - FailurePanic: a recovered engine panic with no identified cause.
 //     A deterministic panic burns the retry budget and then fails; a
 //     one-off does not kill the job.

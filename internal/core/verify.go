@@ -291,9 +291,9 @@ func (r *runner) swapEngine(fresh *dd.Engine) {
 	fresh.SetBudget(r.opt.MaxNodes)
 	fresh.SetContext(r.ctx)
 	fresh.SetIdentitySkip(!r.opt.DisableIdentitySkip)
-	if r.gov != nil {
+	if r.gov.ladderArmed() {
 		old.SetSoftBudget(0, dd.Watermarks{})
-		fresh.SetSoftBudget(r.gov.soft, r.opt.PressureWatermarks)
+		fresh.SetSoftBudget(r.opt.SoftBudget, pressureMarks)
 	}
 	if r.obs != nil {
 		old.SetObserver(nil)

@@ -32,10 +32,8 @@ const (
 	// KindRunStart opens a run: circuit name, total gates, start gate.
 	KindRunStart Kind = iota + 1
 	// KindStep is one applied operation (matrix-vector application),
-	// including sequential replays during a budget fallback.
+	// including the gate-by-gate steps of a budget-abort replay.
 	KindStep
-	// KindFallback marks a budget abort degrading to sequential replay.
-	KindFallback
 	// KindGC is one completed engine garbage collection.
 	KindGC
 	// KindCheckpoint marks a checkpoint handed to the caller.
@@ -66,20 +64,21 @@ const (
 	// variables sifted, and Event.NodesBefore/NodesAfter the state DD
 	// size around the pass.
 	KindReorder
-	// KindPressure is one action of the memory-pressure governor's
-	// degradation ladder: Event.Level is the pressure band ("low",
-	// "high", "critical"), Event.Rung the ladder rung taken (1–5, 0 for
-	// a budget grow), Event.Action what was done ("gc", "flush",
-	// "sift", "approx", "grow", "park"), Event.NodesBefore/NodesAfter
-	// the live-node counts around the action, and Event.Fidelity the
-	// fidelity bound of an approximation rung.
+	// KindPressure is one action of the degradation ladder:
+	// Event.Level is the pressure band ("low", "high", "critical"),
+	// Event.Rung the ladder rung taken (1–5, 0 for a budget grow),
+	// Event.Action what was done ("gc", "flush", "replay", "sift",
+	// "approx", "grow", "park"; a "replay" is rung 2's answer to a
+	// node-budget abort and needs no soft budget),
+	// Event.NodesBefore/NodesAfter the live-node counts around the
+	// action, and Event.Fidelity the fidelity bound of an approximation
+	// rung.
 	KindPressure
 )
 
 var kindNames = [...]string{
 	KindRunStart:   "run_start",
 	KindStep:       "step",
-	KindFallback:   "fallback",
 	KindGC:         "gc",
 	KindCheckpoint: "checkpoint",
 	KindAbort:      "abort",
@@ -141,8 +140,8 @@ type Event struct {
 	// run (KindRunEnd), in nanoseconds.
 	WallNS int64 `json:"wall_ns,omitempty"`
 	// Combined is the number of gates folded into the applied
-	// operation matrix (KindStep), or the number of gates a fallback
-	// will replay (KindFallback).
+	// operation matrix (KindStep), or the number of gates a repair
+	// replayed (KindRepair).
 	Combined int `json:"combined,omitempty"`
 	// OpNodes and StateNodes are the DD sizes of the applied operation
 	// matrix and of the state after the step.
@@ -158,12 +157,9 @@ type Event struct {
 	// GCFreed is the number of nodes reclaimed (KindGC only).
 	GCFreed int `json:"gc_freed,omitempty"`
 
-	// PeakNodes and Fallbacks are run totals (KindRunEnd).
+	// PeakNodes is a run total (KindRunEnd).
 	PeakNodes int `json:"peak_nodes,omitempty"`
-	Fallbacks int `json:"fallbacks,omitempty"`
 
-	// Fallback marks a step replayed sequentially after a budget abort.
-	Fallback bool `json:"fallback,omitempty"`
 	// Block metadata for DD-repeating steps.
 	FromBlock  bool   `json:"from_block,omitempty"`
 	Block      string `json:"block,omitempty"`

@@ -61,7 +61,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	want := Event{
 		Seq: 7, Kind: KindStep, TimeUnixNano: 12345, Gate: 3,
 		WallNS: 1e6, Combined: 2, OpNodes: 5, StateNodes: 9,
-		VLive: 11, MLive: 13, Fallback: true, Block: "grover-iter",
+		VLive: 11, MLive: 13, FromBlock: true, Block: "grover-iter",
 		EngineCounters: EngineCounters{MatVecMuls: 1, CacheLookups: 20, CacheHits: 15, NodesCreated: 4},
 	}
 	s.Emit(want)
@@ -113,10 +113,10 @@ func TestProgress(t *testing.T) {
 			EngineCounters: EngineCounters{CacheLookups: 10, CacheHits: 9},
 			TimeUnixNano:   base.Add(time.Duration(i) * 10 * time.Millisecond).UnixNano()})
 	}
-	p.Emit(Event{Kind: KindFallback, Gate: 3, Combined: 4})
-	p.Emit(Event{Kind: KindRunEnd, Gate: 100, WallNS: 2e9, PeakNodes: 500})
+	p.Emit(Event{Kind: KindPressure, Gate: 3, Rung: 2, Action: "replay", Level: "critical"})
+	p.Emit(Event{Kind: KindRunEnd, Gate: 100, WallNS: 2e9, PeakNodes: 500, Degradations: 1})
 	out := buf.String()
-	for _, want := range []string{"grover_8", "100 gates", "90.0%", "replaying 4 gates", "done — 100/100"} {
+	for _, want := range []string{"grover_8", "100 gates", "90.0%", "done — 100/100", "degradations 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress output missing %q:\n%s", want, out)
 		}

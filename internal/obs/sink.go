@@ -143,7 +143,7 @@ func (s *JSONL) Err() error { return s.err }
 
 // Progress renders a throttled, human-readable feed of a run: a line
 // on run start, at most one step line per interval, and unconditional
-// lines for fallbacks, aborts and run end.
+// lines for aborts and run end.
 type Progress struct {
 	w        io.Writer
 	interval time.Duration
@@ -181,9 +181,6 @@ func (p *Progress) Emit(e Event) {
 		p.last = now
 		fmt.Fprintf(p.w, "progress: gate %d/%d  state %d nodes  live %d  cache %s  gc %d\n",
 			e.Gate, p.total, e.StateNodes, e.VLive+e.MLive, p.rate(), p.gcs)
-	case KindFallback:
-		fmt.Fprintf(p.w, "progress: gate %d: node budget hit — replaying %d gates sequentially\n",
-			e.Gate, e.Combined)
 	case KindAbort:
 		fmt.Fprintf(p.w, "progress: aborted (%s) at gate %d/%d\n", e.Abort, e.Gate, p.total)
 	case KindRunEnd:
@@ -191,8 +188,8 @@ func (p *Progress) Emit(e Event) {
 		if e.Abort != "" {
 			status = "aborted (" + e.Abort + ")"
 		}
-		fmt.Fprintf(p.w, "progress: %s — %d/%d gates in %s (fallbacks %d, peak %d nodes)\n",
-			status, e.Gate, p.total, e.Wall().Round(time.Millisecond), e.Fallbacks, e.PeakNodes)
+		fmt.Fprintf(p.w, "progress: %s — %d/%d gates in %s (degradations %d, peak %d nodes)\n",
+			status, e.Gate, p.total, e.Wall().Round(time.Millisecond), e.Degradations, e.PeakNodes)
 	}
 }
 

@@ -68,9 +68,11 @@ type JobSpec struct {
 	// near the target instead of aborting at the hard budget. Clamped
 	// to the job's effective hard budget.
 	SoftBudget int `json:"soft_budget,omitempty"`
-	// Degrade selects the governor mode: "" / "off", "ladder"
-	// (exact-preserving measures only), or "approx" (opt-in
-	// fidelity-bounded truncation; the summary reports the bound).
+	// Degrade selects the governor mode: "" (a budget abort replays
+	// the tripped gate run one gate at a time), "off" (no replay
+	// either), "ladder" (exact-preserving measures only), or "approx"
+	// (opt-in fidelity-bounded truncation; the summary reports the
+	// bound).
 	Degrade string `json:"degrade,omitempty"`
 	// ApproxNodes is the approximation rung's state-size target; only
 	// meaningful with Degrade "approx" (default soft budget / 4).
@@ -315,12 +317,11 @@ type JobSummary struct {
 	DurationMS  int64   `json:"duration_ms"`
 	MatVecSteps int     `json:"matvec_steps"`
 	MatMatSteps int     `json:"matmat_steps"`
-	Fallbacks   int     `json:"fallbacks,omitempty"`
 	Repairs     int     `json:"repairs,omitempty"`
 	StateNodes  int     `json:"state_nodes"`
 	Norm        float64 `json:"norm"`
-	// Degradations counts the memory-pressure governor's ladder
-	// actions during the run (0 for an ungoverned or untroubled run).
+	// Degradations counts the degradation ladder's actions during the
+	// run, budget-abort replays included (0 for an untroubled run).
 	Degradations int `json:"degradations,omitempty"`
 	// FidelityBound is the run's cumulative fidelity lower bound; set
 	// only when approximation lowered it below 1.

@@ -667,6 +667,7 @@ func (s *Server) runJob(poolCtx context.Context, id string) {
 		UseBlocks:       spec.UseBlocks,
 		MaxNodes:        s.budgetFor(&spec),
 		Seed:            spec.Seed,
+		Degrade:         spec.Degrade,
 		Engine:          eng,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		OnCheckpoint: func(ck *core.Checkpoint) error {
@@ -683,7 +684,6 @@ func (s *Server) runJob(poolCtx context.Context, id string) {
 			// (server-wide split); govern against the share instead.
 			opt.SoftBudget = opt.MaxNodes
 		}
-		opt.Degrade = spec.Degrade
 		opt.ApproxNodes = spec.ApproxNodes
 		opt.OnPressure = func(d core.Degradation) { s.notePressure(id, d) }
 	}
@@ -754,7 +754,7 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 		NQubits:     circ.NQubits,
 		NextGate:    res.GatesApplied,
 		Seed:        spec.Seed,
-		Fallbacks:   res.Fallbacks,
+		Fallbacks:   res.Replays(),
 		Repairs:     res.Repairs,
 		State:       res.State,
 	}
@@ -765,7 +765,6 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 		DurationMS:   res.Duration.Milliseconds(),
 		MatVecSteps:  res.MatVecSteps,
 		MatMatSteps:  res.MatMatSteps,
-		Fallbacks:    res.Fallbacks,
 		Repairs:      res.Repairs,
 		StateNodes:   res.Engine.SizeV(res.State),
 		Norm:         res.State.Norm(),
