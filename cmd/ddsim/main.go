@@ -9,13 +9,13 @@
 //	ddsim -file circuit.qc -strategy max-size -smax 128 -shots 10
 //	ddsim -file bell.qasm -top 4
 //	ddsim -file - < circuit.qc       # read from stdin
-//	ddsim -file grover.qc -shots 1000 -parallel 8   # fan sampling out
+//	ddsim -file grover.qc -shots 1000 -parallel 8   # 8 sampling streams
 //
-// -shots K -parallel N fans K measurement-sampling runs across a pool
-// of N workers, each job on its own freshly created engine with its
-// own rng stream (seed + job index); -max-nodes then acts as a total
-// budget split across the in-flight workers. Dynamic OpenQASM programs
-// (measure/reset/if) fan their shot loop out the same way.
+// -shots K -parallel N simulates a static circuit once and draws the K
+// samples from its final state in N shares, share j from its own rng
+// stream (seed + j). Dynamic OpenQASM programs (measure/reset/if)
+// re-execute the program per shot, so they fan their shot loop across
+// a pool of N workers, with the same seeded shares.
 //
 // Strategies: sequential (default), k-operations (-k), max-size
 // (-smax), adaptive (-ratio), planner (-window, -ratio, -growth — the
@@ -94,7 +94,7 @@ func main() {
 		growth    = flag.Float64("growth", 0, "proactive-flush lookahead in gates for strategy planner (0 = default 2)")
 		blocks    = flag.Bool("blocks", false, "exploit repeated blocks (DD-repeating)")
 		shots     = flag.Int("shots", 0, "measurement samples to draw from the final state")
-		parallel  = flag.Int("parallel", 1, "fan -shots sampling runs across a worker pool of this many workers (each on its own engine; -max-nodes is split across in-flight workers)")
+		parallel  = flag.Int("parallel", 1, "split -shots into this many seeded sampling streams (seed + stream index) drawn from one simulation; dynamic programs run the streams on this many workers")
 		seed      = flag.Int64("seed", 1, "random seed for sampling")
 		top       = flag.Int("top", 8, "print the N largest-probability amplitudes")
 		showTrace = flag.Bool("trace", false, "print per-step DD sizes")
@@ -180,15 +180,14 @@ func main() {
 		baseOpt.Metrics = octl.registry
 	}
 
-	if *parallel > 1 && (*ckptPath != "" || *resume != "") {
-		fmt.Fprintln(os.Stderr, "ddsim: -parallel cannot be combined with -checkpoint or -resume")
-		os.Exit(2)
-	}
-
 	// OpenQASM programs containing measurements, resets or classical
 	// control run as dynamic circuits: one execution per shot, classical
 	// histogram reported.
 	if isQASM(text) && hasDynamicOps(text) {
+		if *parallel > 1 && (*ckptPath != "" || *resume != "") {
+			fmt.Fprintln(os.Stderr, "ddsim: -parallel cannot be combined with -checkpoint or -resume for dynamic programs")
+			os.Exit(2)
+		}
 		// Dynamic programs measure and reset qubits by level between
 		// core runs; they do not thread a permutation, so reordering
 		// stays off for them.
@@ -264,13 +263,7 @@ func main() {
 	if governedBudget == 0 {
 		governedBudget = *maxNodes
 	}
-	var res *core.Result
-	var parCounts map[uint64]int // merged histogram from the parallel fan-out
-	if *parallel > 1 && *shots > 0 {
-		res, parCounts, err = runParallelShots(c, runOpt, *shots, *parallel, *seed, *maxNodes)
-	} else {
-		res, err = core.Run(c, runOpt)
-	}
+	res, err := core.Run(c, runOpt)
 	if err != nil {
 		// The partial run's telemetry is the interesting part of an
 		// aborted run; flush it before reportFailure exits.
@@ -281,9 +274,9 @@ func main() {
 	fmt.Printf("circuit:        %s (%d qubits, %d gates, depth %d)\n",
 		name(c), c.NQubits, c.GateCount(), c.Depth())
 	fmt.Printf("strategy:       %s (blocks: %v)\n", st.Name(), *blocks)
-	if parCounts != nil {
-		fmt.Printf("parallel:       %d sampling runs across %d workers (seed %d + job index)\n",
-			len(batch.SplitShots(*shots, *parallel)), *parallel, *seed)
+	if *parallel > 1 && *shots > 0 {
+		fmt.Printf("parallel:       %d sampling streams from one simulation (seed %d + stream index)\n",
+			len(batch.SplitShots(*shots, *parallel)), *seed)
 	}
 	fmt.Printf("runtime:        %v\n", res.Duration)
 	fmt.Printf("mat-vec steps:  %d\n", res.MatVecSteps)
@@ -314,16 +307,7 @@ func main() {
 		printTopAmplitudes(res, c.NQubits, *top)
 	}
 	if *shots > 0 {
-		counts := parCounts
-		if counts == nil {
-			rng := rand.New(rand.NewSource(*seed))
-			counts = map[uint64]int{}
-			for i := 0; i < *shots; i++ {
-				// SampleAll draws a DD-indexed basis state; map it back
-				// to circuit qubit order before reporting.
-				counts[dd.IndexFromDD(res.Order, res.State.SampleAll(rng))]++
-			}
-		}
+		counts := sampleShots(res, *shots, *parallel, *seed)
 		fmt.Printf("samples (%d shots):\n", *shots)
 		type kv struct {
 			idx uint64

@@ -1,0 +1,115 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/supremacy"
+)
+
+// TestMain lets the test binary stand in for ddsim: with DDSIM_MAIN=1
+// in its environment it runs main on its own arguments, so a test can
+// drive the real flag parsing and report through a subprocess.
+func TestMain(m *testing.M) {
+	if os.Getenv("DDSIM_MAIN") == "1" {
+		flag.CommandLine = flag.NewFlagSet("ddsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// ddsim runs the command with args and returns its stdout; a non-zero
+// exit fails the test with stderr attached.
+func ddsim(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DDSIM_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("ddsim %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String()
+}
+
+// parseSamples reads the "|bits>  count" lines of a histogram,
+// skipping everything else.
+func parseSamples(t *testing.T, text string) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) != 2 || !strings.HasPrefix(f[0], "|") || !strings.HasSuffix(f[0], ">") {
+			continue
+		}
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("bad sample line %q", sc.Text())
+		}
+		counts[f[0]] = n
+	}
+	return counts
+}
+
+// TestParallelShotsGolden pins the static -parallel histogram: the
+// circuit is simulated once and the 1000 shots are drawn in four seeded
+// streams from its final state. The golden was captured when every
+// stream ran its own simulation on its own engine; the streams are the
+// same, so the histogram is too, while the event stream now holds one
+// run_start instead of four. -checkpoint is accepted alongside
+// -parallel, since there is one run to checkpoint.
+func TestParallelShotsGolden(t *testing.T) {
+	dir := t.TempDir()
+	qc := filepath.Join(dir, "sup.qc")
+	f, err := os.Create(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := supremacy.Circuit(3, 3, 8, 1).Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := filepath.Join(dir, "ev.jsonl")
+	out := ddsim(t, "-file", qc, "-strategy", "k-operations", "-k", "4",
+		"-shots", "1000", "-parallel", "4", "-seed", "3", "-top", "0",
+		"-trace-out", events, "-checkpoint", filepath.Join(dir, "ck.bin"))
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "parallel_shots.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := parseSamples(t, string(golden)), parseSamples(t, out)
+	if len(want) != 282 {
+		t.Fatalf("golden holds %d outcomes, want 282", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d distinct outcomes, golden has %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("outcome %s drawn %d times, golden %d", k, got[k], n)
+		}
+	}
+
+	trace, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(trace), `"kind":"run_start"`); n != 1 {
+		t.Fatalf("event stream holds %d run_start events, want 1", n)
+	}
+	if !strings.Contains(out, "parallel:       4 sampling streams from one simulation") {
+		t.Fatalf("missing parallel report line:\n%s", out)
+	}
+}

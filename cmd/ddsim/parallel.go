@@ -6,62 +6,28 @@ import (
 	"math/rand"
 
 	"repro/internal/batch"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/dynamic"
 	"repro/internal/obs"
 )
 
-// runParallelShots fans -shots K across a worker pool: W =
-// min(parallel, K) independent jobs, each simulating the circuit on
-// its own freshly created engine and sampling its share of the shots
-// with a deterministically derived seed (base seed + job index). The
-// merged histogram is deterministic for a fixed (seed, parallel) pair;
-// it differs from the serial -shots sequence because each job draws
-// from its own rng stream.
-//
-// Returns the first job's simulation result (every job computes the
-// same final state) for the standard report, and the merged counts.
-func runParallelShots(c *circuit.Circuit, opt core.Options, shots, parallel int, seed int64, maxNodes int) (*core.Result, map[uint64]int, error) {
-	shares := batch.SplitShots(shots, parallel)
-	// The batch owns engine creation, the node-budget split, and the
-	// serialisation of shared sinks; the per-job options must not carry
-	// the single-run engine or budget.
-	opt.Engine = nil
-	opt.MaxNodes = 0
-	events := opt.EventSink
-	metrics := opt.Metrics
-	opt.EventSink = nil
-	opt.Metrics = nil
-	jobs := make([]core.BatchJob, len(shares))
-	for i := range jobs {
-		jobs[i] = core.BatchJob{Circuit: c, Options: opt}
-	}
-	results, err := core.RunBatch(context.Background(), jobs, core.BatchOptions{
-		Workers:  parallel,
-		MaxNodes: maxNodes,
-		Events:   events,
-		Metrics:  metrics,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Result, nil, r.Err
-		}
-	}
+// sampleShots draws -shots K from the final state in
+// batch.SplitShots(K, parallel) shares, share j from its own rng stream
+// (base seed + j). A static circuit is simulated once; -parallel only
+// fixes how the shots split into seeded streams, so the histogram is
+// deterministic for a fixed (seed, parallel) pair, and -parallel 1 is
+// the serial single-stream sequence. Samples are DD-indexed and mapped
+// back to circuit qubit order through the run's variable order.
+func sampleShots(res *core.Result, shots, parallel int, seed int64) map[uint64]int {
 	counts := map[uint64]int{}
-	for j, r := range results {
+	for j, share := range batch.SplitShots(shots, parallel) {
 		rng := rand.New(rand.NewSource(seed + int64(j)))
-		for s := 0; s < shares[j]; s++ {
-			// Samples are DD-indexed; map through the job's variable
-			// order back to circuit qubit order.
-			counts[dd.IndexFromDD(r.Result.Order, r.Result.State.SampleAll(rng))]++
+		for s := 0; s < share; s++ {
+			counts[dd.IndexFromDD(res.Order, res.State.SampleAll(rng))]++
 		}
 	}
-	return results[0].Result, counts, nil
+	return counts
 }
 
 // runDynamicParallel fans a dynamic program's shot loop across a

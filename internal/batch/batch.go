@@ -2,8 +2,9 @@
 // concurrently. It is the scheduling half of the parallel batch
 // runtime: DD simulations parallelise naturally at the granularity of
 // whole runs (independent runs share nothing), so the pool knows
-// nothing about engines or circuits — internal/core builds RunBatch on
-// top of it by giving every job a freshly created engine.
+// nothing about engines or circuits — a caller gives every job that
+// simulates a freshly created engine (ddbench -parallel's cells,
+// ddsim's dynamic-program shots, ddserve's jobs through Pool).
 //
 // Guarantees:
 //
@@ -80,14 +81,8 @@ type Result[T any] struct {
 // with errors.Is; the cause is wrapped alongside it.
 var ErrSkipped = errors.New("batch: job skipped after batch abort")
 
-// EffectiveWorkers returns the worker count Run will actually use for
-// n jobs — Workers clamped to [1, n], with <= 0 resolving to
-// GOMAXPROCS. Callers that split a shared resource across in-flight
-// workers (core.RunBatch's node-budget split) use this so the split
-// matches the real concurrency.
-func (o Options) EffectiveWorkers(n int) int { return o.workers(n) }
-
-// workers resolves the effective worker count for n jobs.
+// workers resolves the effective worker count for n jobs: Workers
+// clamped to [1, n], with <= 0 resolving to GOMAXPROCS.
 func (o Options) workers(n int) int {
 	w := o.Workers
 	if w <= 0 {

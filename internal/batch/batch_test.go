@@ -295,16 +295,34 @@ func TestSplitShots(t *testing.T) {
 	}
 }
 
-// TestEffectiveWorkers pins the clamping rules the budget split
-// depends on.
-func TestEffectiveWorkers(t *testing.T) {
-	if got := (batch.Options{Workers: 8}).EffectiveWorkers(3); got != 3 {
-		t.Fatalf("8 workers / 3 jobs = %d, want 3", got)
-	}
-	if got := (batch.Options{Workers: 2}).EffectiveWorkers(100); got != 2 {
-		t.Fatalf("2 workers / 100 jobs = %d, want 2", got)
-	}
-	if got := (batch.Options{}).EffectiveWorkers(1); got != 1 {
-		t.Fatalf("default workers on 1 job = %d, want 1", got)
+// TestWorkerCountClamped pins the pool's worker count: Workers clamped
+// to the job count, the default (<= 0) on one job is one worker, and an
+// empty batch starts none. The per-worker metric series show how many
+// workers the pool started.
+func TestWorkerCountClamped(t *testing.T) {
+	for _, tc := range []struct{ workers, jobs, want int }{
+		{8, 3, 3},
+		{2, 100, 2},
+		{0, 1, 1},
+		{4, 0, 0},
+	} {
+		reg := obs.NewRegistry()
+		jobs := make([]batch.Job[int], tc.jobs)
+		for i := range jobs {
+			jobs[i] = func(context.Context, int) (int, error) { return 0, nil }
+		}
+		res, err := batch.Run(context.Background(), jobs, batch.Options{Workers: tc.workers, Metrics: reg})
+		if err != nil || len(res) != tc.jobs {
+			t.Fatalf("%d jobs: %d results, err %v", tc.jobs, len(res), err)
+		}
+		got := 0
+		for _, s := range reg.Snapshot() {
+			if strings.HasPrefix(s.Name, "batch_jobs_started_total{") {
+				got++
+			}
+		}
+		if got != tc.want {
+			t.Fatalf("%d workers / %d jobs ran %d workers, want %d", tc.workers, tc.jobs, got, tc.want)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package batch_test
 
-// BenchmarkRunBatch measures the parallel batch runtime on a Grover
-// workload at 1/2/4/8 workers (EXPERIMENTS.md records the numbers),
-// and TestSingleWorkerOverhead guards the 1-worker path: the pool must
-// cost < 5% over calling core.RunContext directly.
+// BenchmarkRunBatch measures the pool running whole simulations (one
+// core.RunContext on a fresh engine per job, as ddbench -parallel runs
+// its cells) on a Grover workload at 1/2/4/8 workers (EXPERIMENTS.md
+// records the numbers), and TestSingleWorkerOverhead guards the
+// 1-worker path: the pool must cost < 5% over calling core.RunContext
+// directly.
 
 import (
 	"context"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/grover"
@@ -30,14 +33,13 @@ func BenchmarkRunBatch(b *testing.B) {
 	const jobsPerBatch = 8
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
-			jobs := make([]core.BatchJob, jobsPerBatch)
-			for i := range jobs {
-				jobs[i] = core.BatchJob{Circuit: c}
+			sims := make([]sim, jobsPerBatch)
+			for i := range sims {
+				sims[i] = sim{c: c}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := core.RunBatch(context.Background(), jobs,
-					core.BatchOptions{Workers: workers})
+				results, err := runSims(sims, batch.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +73,7 @@ func TestSingleWorkerOverhead(t *testing.T) {
 	// Both sides must retain every result until after the timed region:
 	// results pin their engines (the state aliases the engine arena), so
 	// a baseline that discards them lets the GC reclaim engines mid-loop
-	// and times a lighter workload than any RunBatch caller can have.
+	// and times a lighter workload than any batch caller can have.
 	touched := 0
 	direct := func() time.Duration {
 		results := make([]*core.Result, jobsPerBatch)
@@ -90,12 +92,12 @@ func TestSingleWorkerOverhead(t *testing.T) {
 		return elapsed
 	}
 	batched := func() time.Duration {
-		jobs := make([]core.BatchJob, jobsPerBatch)
-		for i := range jobs {
-			jobs[i] = core.BatchJob{Circuit: c}
+		sims := make([]sim, jobsPerBatch)
+		for i := range sims {
+			sims[i] = sim{c: c}
 		}
 		start := time.Now()
-		results, err := core.RunBatch(context.Background(), jobs, core.BatchOptions{Workers: 1})
+		results, err := runSims(sims, batch.Options{Workers: 1})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +106,7 @@ func TestSingleWorkerOverhead(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("job %d: %v", j, r.Err)
 			}
-			touched += r.Result.GatesApplied
+			touched += r.Value.GatesApplied
 		}
 		return elapsed
 	}

@@ -8,11 +8,11 @@ package batch_test
 // -race.
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dd"
@@ -49,8 +49,8 @@ func TestChaosInjectedAbortIsolatedToWorker(t *testing.T) {
 	want := referenceAmps(t, c)
 
 	const jobs, victim = 6, 2
-	bjobs := make([]core.BatchJob, jobs)
-	for i := range bjobs {
+	sims := make([]sim, jobs)
+	for i := range sims {
 		// Per-job engines are supplied by the caller here (one each, never
 		// shared) because the injection hook must be armed before the run.
 		e := dd.New()
@@ -59,9 +59,9 @@ func TestChaosInjectedAbortIsolatedToWorker(t *testing.T) {
 				t.Fatal("fault injection did not arm despite DD_CHAOS=1")
 			}
 		}
-		bjobs[i] = core.BatchJob{Circuit: c, Options: core.Options{Engine: e}}
+		sims[i] = sim{c, core.Options{Engine: e}}
 	}
-	results, err := core.RunBatch(context.Background(), bjobs, core.BatchOptions{Workers: 3})
+	results, err := runSims(sims, batch.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +79,13 @@ func TestChaosInjectedAbortIsolatedToWorker(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("sibling job %d failed alongside the injected abort: %v", i, r.Err)
 		}
-		assertExactAmps(t, i, r.Result, want)
+		assertExactAmps(t, i, r.Value, want)
 	}
 }
 
 // TestChaosFailFastInjectionCancelsSiblings: the same injected fault
 // under FailFast cancels the batch — queued jobs are skipped with
-// ErrBatchSkipped wrapping the injected abort as the cause.
+// batch.ErrSkipped wrapping the injected abort as the cause.
 func TestChaosFailFastInjectionCancelsSiblings(t *testing.T) {
 	t.Setenv("DD_CHAOS", "1")
 	rng := rand.New(rand.NewSource(11))
@@ -95,20 +95,19 @@ func TestChaosFailFastInjectionCancelsSiblings(t *testing.T) {
 	heavy := verify.RandomCircuit(rng, 10, 150)
 
 	const jobs = 16
-	bjobs := make([]core.BatchJob, jobs)
-	for i := range bjobs {
+	sims := make([]sim, jobs)
+	for i := range sims {
 		if i == 0 {
 			e := dd.New()
 			if !e.InjectAbortAfter(5, dd.AbortInjected) {
 				t.Fatal("fault injection did not arm despite DD_CHAOS=1")
 			}
-			bjobs[i] = core.BatchJob{Circuit: victim, Options: core.Options{Engine: e}}
+			sims[i] = sim{victim, core.Options{Engine: e}}
 			continue
 		}
-		bjobs[i] = core.BatchJob{Circuit: heavy}
+		sims[i] = sim{c: heavy}
 	}
-	results, err := core.RunBatch(context.Background(), bjobs,
-		core.BatchOptions{Workers: 2, FailFast: true})
+	results, err := runSims(sims, batch.Options{Workers: 2, FailFast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestChaosFailFastInjectionCancelsSiblings(t *testing.T) {
 		switch {
 		case r.Err == nil:
 			// Dispatched before the abort propagated; legitimate.
-		case errors.Is(r.Err, core.ErrBatchSkipped):
+		case errors.Is(r.Err, batch.ErrSkipped):
 			skipped++
 			if !errors.Is(r.Err, core.ErrInjectedAbort) {
 				t.Fatalf("job %d: skip cause %v, want the injected abort", i+1, r.Err)
@@ -146,16 +145,16 @@ func TestBatchBudgetTripIsolated(t *testing.T) {
 	want := referenceAmps(t, c)
 
 	const jobs, victim = 5, 1
-	bjobs := make([]core.BatchJob, jobs)
-	for i := range bjobs {
+	sims := make([]sim, jobs)
+	for i := range sims {
 		o := core.Options{}
 		if i == victim {
 			o.MaxNodes = 2 // no 6-qubit run fits two live nodes
 			o.Degrade = "off"
 		}
-		bjobs[i] = core.BatchJob{Circuit: c, Options: o}
+		sims[i] = sim{c, o}
 	}
-	results, err := core.RunBatch(context.Background(), bjobs, core.BatchOptions{Workers: 4})
+	results, err := runSims(sims, batch.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +172,6 @@ func TestBatchBudgetTripIsolated(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("sibling job %d failed alongside the budget trip: %v", i, r.Err)
 		}
-		assertExactAmps(t, i, r.Result, want)
+		assertExactAmps(t, i, r.Value, want)
 	}
 }

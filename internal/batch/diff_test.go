@@ -1,19 +1,19 @@
 package batch_test
 
 // Differential tests for the parallel batch runtime: the same random
-// circuits go through serial core.Run and core.RunBatch at several
-// worker counts, and the batch results must be indistinguishable from
+// circuits go through serial core.Run and through batch.Run jobs (one
+// core.RunContext on a fresh engine each) at several worker counts, and the batch results must be indistinguishable from
 // the serial ones — amplitude-exact state vectors and equal engine
 // counters. Because every job runs on its own freshly created engine,
 // the computation is deterministic: any difference is a real isolation
 // bug (shared state, cross-worker cache pollution), not noise.
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/cnum"
 	"repro/internal/core"
@@ -33,7 +33,7 @@ func comparableStats(s dd.Stats) dd.Stats {
 }
 
 // TestBatchMatchesSerial is satellite 1: random circuits through serial
-// core.Run and RunBatch with 1, 4 and 8 workers; amplitude-exact state
+// core.Run and batch jobs with 1, 4 and 8 workers; amplitude-exact state
 // vectors, equal per-run engine counters, and a dense cross-check.
 func TestBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -48,7 +48,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	// One more job trips its node budget, so the degradation journals
 	// (budget-abort replays) are compared too.
 	runs := make([]serialRun, trials+1)
-	jobs := make([]core.BatchJob, trials+1)
+	sims := make([]sim, trials+1)
 	for i := range runs {
 		n := 2 + rng.Intn(5)
 		c := verify.RandomCircuit(rng, n, 20+rng.Intn(20))
@@ -74,7 +74,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 			t.Fatal("budgeted serial run never replayed")
 		}
 		runs[i] = serialRun{c: c, opt: opt, amps: res.State.ToVector(), stats: comparableStats(res.Stats), res: res}
-		jobs[i] = core.BatchJob{Circuit: c, Options: opt}
+		sims[i] = sim{c, opt}
 
 		// Dense oracle cross-check on the serial reference itself, so a
 		// batch/serial match cannot hide an agreed-upon wrong answer.
@@ -84,7 +84,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		results, err := core.RunBatch(context.Background(), jobs, core.BatchOptions{Workers: workers})
+		results, err := runSims(sims, batch.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -92,7 +92,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
 			}
-			got := r.Result.State.ToVector()
+			got := r.Value.State.ToVector()
 			if len(got) != len(runs[i].amps) {
 				t.Fatalf("workers=%d job %d: vector length %d, want %d", workers, i, len(got), len(runs[i].amps))
 			}
@@ -102,14 +102,14 @@ func TestBatchMatchesSerial(t *testing.T) {
 						workers, i, k, got[k], runs[i].amps[k])
 				}
 			}
-			if bs := comparableStats(r.Result.Stats); bs != runs[i].stats {
+			if bs := comparableStats(r.Value.Stats); bs != runs[i].stats {
 				t.Fatalf("workers=%d job %d: engine counters diverge from serial run:\nbatch:  %+v\nserial: %+v",
 					workers, i, bs, runs[i].stats)
 			}
-			if r.Result.MatVecSteps != runs[i].res.MatVecSteps ||
-				r.Result.MatMatSteps != runs[i].res.MatMatSteps ||
-				r.Result.GatesApplied != runs[i].res.GatesApplied ||
-				!slices.Equal(r.Result.Degradations, runs[i].res.Degradations) {
+			if r.Value.MatVecSteps != runs[i].res.MatVecSteps ||
+				r.Value.MatMatSteps != runs[i].res.MatMatSteps ||
+				r.Value.GatesApplied != runs[i].res.GatesApplied ||
+				!slices.Equal(r.Value.Degradations, runs[i].res.Degradations) {
 				t.Fatalf("workers=%d job %d: step counters diverge from serial run", workers, i)
 			}
 		}
@@ -138,11 +138,11 @@ func TestAllStrategiesBatchProperty(t *testing.T) {
 			core.Adaptive{Ratio: 0.25 * float64(1+rng.Intn(8))},
 			core.CombineAll{},
 		}
-		jobs := make([]core.BatchJob, len(strategies))
+		sims := make([]sim, len(strategies))
 		for i, st := range strategies {
-			jobs[i] = core.BatchJob{Circuit: c, Options: core.Options{Strategy: st}}
+			sims[i] = sim{c, core.Options{Strategy: st}}
 		}
-		results, err := core.RunBatch(context.Background(), jobs, core.BatchOptions{Workers: len(strategies)})
+		results, err := runSims(sims, batch.Options{Workers: len(strategies)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -150,7 +150,7 @@ func TestAllStrategiesBatchProperty(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("trial %d %s: %v", trial, strategies[i].Name(), r.Err)
 			}
-			got := r.Result.State.ToVector()
+			got := r.Value.State.ToVector()
 			var ip complex128
 			for k := range got {
 				ip += complex(real(refAmps[k]), -imag(refAmps[k])) * got[k]

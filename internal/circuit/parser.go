@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -345,22 +346,69 @@ func parseAngle(s string) (float64, error) {
 	return v, nil
 }
 
-// Write serialises the circuit in the textual format. Blocks are not
-// re-folded: the expanded gate list is emitted (annotated with a comment
-// for each block).
+// Write serialises the circuit in the textual format. A Block whose
+// repetitions are gate-for-gate copies of its body (the same text,
+// line for line) is written as a repeat … endrepeat block, so Parse
+// restores it; nested blocks nest. Any other Block is written as its
+// expanded gates. Parse names the restored blocks repeat@<line>.
 func (c *Circuit) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if c.Name != "" {
 		fmt.Fprintf(bw, "name %s\n", c.Name)
 	}
 	fmt.Fprintf(bw, "qubits %d\n", c.NQubits)
-	for _, b := range c.Blocks {
-		fmt.Fprintf(bw, "# block %s: gates [%d,%d) repeated %d times\n", b.Name, b.Start, b.End, b.Repeat)
+	lines := make([]string, len(c.Gates))
+	for i, g := range c.Gates {
+		lines[i] = formatGate(g)
 	}
-	for _, g := range c.Gates {
-		fmt.Fprintln(bw, formatGate(g))
+	blocks := append([]Block(nil), c.Blocks...)
+	// Outer blocks first: by Start, then by the larger expanded span.
+	sort.SliceStable(blocks, func(i, j int) bool {
+		if blocks[i].Start != blocks[j].Start {
+			return blocks[i].Start < blocks[j].Start
+		}
+		return blocks[i].span() > blocks[j].span()
+	})
+	used := make([]bool, len(blocks))
+	var write func(lo, hi int)
+	write = func(lo, hi int) {
+		for i, b := range blocks {
+			if used[i] || b.Start < lo || b.Start+b.span() > hi || !foldable(lines, b) {
+				continue
+			}
+			used[i] = true
+			for _, l := range lines[lo:b.Start] {
+				fmt.Fprintln(bw, l)
+			}
+			fmt.Fprintf(bw, "repeat %d\n", b.Repeat)
+			write(b.Start, b.End)
+			fmt.Fprintln(bw, "endrepeat")
+			lo = b.Start + b.span()
+		}
+		for _, l := range lines[lo:hi] {
+			fmt.Fprintln(bw, l)
+		}
 	}
+	write(0, len(lines))
 	return bw.Flush()
+}
+
+// span is the number of gates the block covers once expanded.
+func (b Block) span() int { return (b.End - b.Start) * b.Repeat }
+
+// foldable reports whether b is well formed over lines and each of its
+// repetitions reads exactly like its body.
+func foldable(lines []string, b Block) bool {
+	body := b.End - b.Start
+	if b.Start < 0 || body <= 0 || b.Repeat <= 0 || b.Start+b.span() > len(lines) {
+		return false
+	}
+	for i := b.End; i < b.Start+b.span(); i++ {
+		if lines[i] != lines[i-body] {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the circuit in the textual format.

@@ -140,8 +140,8 @@ type Options struct {
 	// garbage collected between steps. Zero selects the default (200k);
 	// negative disables collection. When MaxNodes or SoftBudget is set,
 	// the effective threshold is clamped to 3/4 of the tighter of the
-	// two (as raised by GrowBudget grants) so collection keeps the live
-	// set under the cap whenever the workload allows.
+	// two so collection keeps the live set under the cap whenever the
+	// workload allows.
 	GCThreshold int
 	// RecordTrace records the DD sizes of the state after every
 	// matrix-vector step and of every applied operation matrix (used for
@@ -251,13 +251,6 @@ type Options struct {
 	// qubit count; explicit values below the qubit count are a
 	// ConfigError, mirroring the dd.Engine.Approximate precondition.
 	ApproxNodes int
-	// GrowBudget, when set, is consulted at critical pressure before
-	// the governor degrades past its exact rungs: it receives the
-	// current soft budget and returns a new one (<= current means no
-	// headroom available). RunBatch wires this to a batch-wide ledger
-	// that returns finished jobs' unused budget shares to stragglers.
-	// Called on the run's goroutine.
-	GrowBudget func(current int) int
 	// OnPressure, when set, receives every Degradation the governor
 	// journals, as it happens — a lightweight pressure feed for serving
 	// layers that do not want a full event stream. Called on the run's
@@ -1133,11 +1126,10 @@ func (r *runner) maybeCheckpoint() error {
 }
 
 // gcThreshold couples the GC trigger to the live budget — the tighter
-// of MaxNodes and the soft budget, both as grown by GrowBudget grants:
-// collection must keep the live set comfortably below the cap or every
-// operation would abort on garbage, and below the pressure watermarks
-// whenever the workload allows, so the governor only engages when GC
-// alone no longer suffices.
+// of MaxNodes and the soft budget: collection must keep the live set
+// comfortably below the cap or every operation would abort on garbage,
+// and below the pressure watermarks whenever the workload allows, so
+// the governor only engages when GC alone no longer suffices.
 func (r *runner) gcThreshold() int {
 	th := r.opt.GCThreshold
 	b := r.opt.MaxNodes

@@ -256,6 +256,28 @@ func TestGCDuringRun(t *testing.T) {
 	}
 }
 
+// TestGCThresholdClampsToBudget: routine GC triggers at ¾ of the
+// tighter of MaxNodes and the soft budget whenever that is below the
+// configured threshold, and a disabled threshold (< 0) still collects
+// under a budget.
+func TestGCThresholdClampsToBudget(t *testing.T) {
+	for _, tc := range []struct{ gc, maxNodes, soft, want int }{
+		{defaultGCThreshold, 0, 0, defaultGCThreshold},
+		{defaultGCThreshold, 1000, 0, 750},
+		{defaultGCThreshold, 1000, 800, 600},
+		{defaultGCThreshold, 0, 400, 300},
+		{100, 1000, 0, 100},
+		{-1, 0, 0, -1},
+		{-1, 1000, 0, 750},
+	} {
+		r := &runner{opt: Options{GCThreshold: tc.gc, MaxNodes: tc.maxNodes, SoftBudget: tc.soft}}
+		if got := r.gcThreshold(); got != tc.want {
+			t.Fatalf("GCThreshold %d, MaxNodes %d, SoftBudget %d: threshold %d, want %d",
+				tc.gc, tc.maxNodes, tc.soft, got, tc.want)
+		}
+	}
+}
+
 func TestInitialStateOption(t *testing.T) {
 	eng := dd.New()
 	init := eng.BasisState(2, 3)

@@ -35,10 +35,6 @@ import (
 //	rung 3 (≥ high)      a sifting pass to shrink the state DD itself —
 //	                     exact up to weight re-canonicalisation (the
 //	                     same contract as Options.Reorder "sifting").
-//	       (critical)    before degrading further, Options.GrowBudget
-//	                     is consulted for more headroom (the batch
-//	                     ledger returns finished siblings' unused
-//	                     shares).
 //	rung 4 (critical)    opt-in (Degrade "approx"): fidelity-bounded
 //	                     state approximation via dd.Engine.Approximate;
 //	                     the bound multiplies into Result.FidelityBound.
@@ -70,11 +66,10 @@ type Degradation struct {
 	// when the action was taken.
 	GateIndex int `json:"gate"`
 	// Rung is the ladder rung (1–5, with both "flush" and "replay" on
-	// rung 2; 0 for a budget grow, which is a headroom acquisition
-	// rather than a degradation).
+	// rung 2).
 	Rung int `json:"rung"`
 	// Action names the measure: "gc", "flush", "replay", "sift",
-	// "grow", "approx", "park".
+	// "approx", "park".
 	Action string `json:"action"`
 	// Level is the pressure band that triggered the action ("low",
 	// "high", "critical").
@@ -156,8 +151,9 @@ func normalizeGovernor(opt *Options, nqubits int) error {
 	return nil
 }
 
-// governor holds the ladder state of one run. The current soft budget
-// is r.opt.SoftBudget (raised by Options.GrowBudget grants).
+// governor holds the ladder state of one run. The soft budget it
+// answers to is r.opt.SoftBudget, fixed once normalizeGovernor has
+// resolved it.
 type governor struct {
 	r *runner
 	// mode is degradeLadder or degradeApprox when the pressure rungs
@@ -330,20 +326,6 @@ func (g *governor) act(p dd.PressureInfo) error {
 		return nil
 	}
 
-	// Critical: ask for more headroom before degrading further. In a
-	// batch, finished siblings' unused budget shares come back here.
-	if r.opt.GrowBudget != nil {
-		if nb := r.opt.GrowBudget(r.opt.SoftBudget); nb > r.opt.SoftBudget {
-			before := p.Live
-			g.grow(nb)
-			p = r.eng.Pressure()
-			g.note(0, "grow", dd.PressureCritical, before, p.Live, 0)
-			if p.Level < dd.PressureCritical {
-				return nil
-			}
-		}
-	}
-
 	// Rung 4 (critical, opt-in): fidelity-bounded approximation of the
 	// state DD down to approxNodes.
 	if g.mode == degradeApprox && g.lastApproxGate != r.applied {
@@ -367,19 +349,6 @@ func (g *governor) act(p dd.PressureInfo) error {
 	// budget instead of losing it.
 	g.note(5, "park", dd.PressureCritical, p.Live, p.Live, 0)
 	return &RunError{Kind: FailurePressure, GateIndex: r.next, Err: ErrPressure}
-}
-
-// grow raises the soft budget (and the hard budget with it when one is
-// armed — the ledger's grant is real headroom, not a reinterpretation
-// of the existing cap).
-func (g *governor) grow(nb int) {
-	r := g.r
-	r.opt.SoftBudget = nb
-	if r.opt.MaxNodes > 0 && nb > r.opt.MaxNodes {
-		r.opt.MaxNodes = nb
-		r.eng.SetBudget(nb)
-	}
-	r.eng.SetSoftBudget(nb, pressureMarks)
 }
 
 // approximate runs rung 4: cut the state DD down to g.approxNodes,

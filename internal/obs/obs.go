@@ -66,9 +66,9 @@ const (
 	KindReorder
 	// KindPressure is one action of the degradation ladder:
 	// Event.Level is the pressure band ("low", "high", "critical"),
-	// Event.Rung the ladder rung taken (1–5, 0 for a budget grow),
+	// Event.Rung the ladder rung taken (1–5),
 	// Event.Action what was done ("gc", "flush", "replay", "sift",
-	// "approx", "grow", "park"; a "replay" is rung 2's answer to a
+	// "approx", "park"; a "replay" is rung 2's answer to a
 	// node-budget abort and needs no soft budget),
 	// Event.NodesBefore/NodesAfter the live-node counts around the
 	// action, and Event.Fidelity the fidelity bound of an approximation

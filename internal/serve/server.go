@@ -31,7 +31,7 @@ type Config struct {
 	// (default 256). Beyond it, submissions get 429 + Retry-After.
 	Queue int
 	// MaxNodes is the server-wide node budget, split evenly across
-	// workers exactly as core.RunBatch splits it; a job's own MaxNodes
+	// workers (MaxNodes/Workers each, at least 1); a job's own MaxNodes
 	// can tighten but never exceed its share. Zero means unlimited.
 	MaxNodes int
 	// CheckpointEvery is the periodic checkpoint interval in applied
@@ -611,8 +611,8 @@ func (s *Server) taskFor(id string, pri batch.Priority) batch.Task {
 }
 
 // budgetFor resolves a job's node budget: the server-wide MaxNodes
-// split evenly across workers (core.RunBatch's quota rule), tightened
-// by the job's own request but never loosened.
+// split evenly across workers, so the workers' shares never sum past
+// it, tightened by the job's own request but never loosened.
 func (s *Server) budgetFor(spec *JobSpec) int {
 	share := 0
 	if s.cfg.MaxNodes > 0 {
