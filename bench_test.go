@@ -220,9 +220,9 @@ func groverIterationCircuit() *circuit.Circuit {
 	return c
 }
 
-// BenchmarkAblationAdaptive contrasts the fixed-threshold max-size
-// strategy against the state-relative adaptive variant.
-func BenchmarkAblationAdaptive(b *testing.B) {
+// BenchmarkAblationPlanner contrasts the fixed-threshold max-size
+// strategy against the planner's locality-picked rule.
+func BenchmarkAblationPlanner(b *testing.B) {
 	for _, w := range []bench.Workload{
 		bench.SupremacyWorkload(4, 4, 16, 7),
 		bench.ShorWorkload(15, 7),
@@ -230,11 +230,8 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 		b.Run(w.Name+"/max-size-128", func(b *testing.B) {
 			runWorkload(b, w, core.Options{Strategy: core.MaxSize{SMax: 128}})
 		})
-		b.Run(w.Name+"/adaptive-1", func(b *testing.B) {
-			runWorkload(b, w, core.Options{Strategy: core.Adaptive{Ratio: 1}})
-		})
-		b.Run(w.Name+"/adaptive-0.25", func(b *testing.B) {
-			runWorkload(b, w, core.Options{Strategy: core.Adaptive{Ratio: 0.25}})
+		b.Run(w.Name+"/planner", func(b *testing.B) {
+			runWorkload(b, w, core.Options{Strategy: core.Planner{}})
 		})
 	}
 }

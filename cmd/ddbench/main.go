@@ -5,10 +5,10 @@
 //	Table I — grover benchmarks with strategy DD-repeating
 //	Table II — shor benchmarks with strategy DD-construct
 //	Fig. 5  — DD size traces along Eq. 1 vs. combined operations
-//	adaptive — ratio sweep of the adaptive strategy (ablation, not in "all")
 //	enginestats — per-cache hit rates and GC behaviour of the DD engine
 //	identity — identity-aware kernels before/after (ablation, not in "all")
 //	reorder — variable-order ablation: fixed vs static vs sifting (not in "all")
+//	planner — the locality planner against every fixed strategy (not in "all")
 //
 // Usage:
 //
@@ -19,8 +19,8 @@
 //	ddbench -experiment fig8 -metrics-out m.json -pprof prof/
 //	ddbench -experiment fig8 -parallel 4    # sweep cells on a worker pool
 //
-// -parallel N runs the independent sweep cells (fig8/fig9/adaptive,
-// baselines included) through a bounded worker pool, each cell on its
+// -parallel N runs the independent sweep cells (fig8/fig9, baselines
+// included) through a bounded worker pool, each cell on its
 // own freshly created engine. Marks and node counts are identical to
 // serial mode — only the timing columns shift with machine load, so use
 // -parallel for mark/telemetry sweeps and serial mode for headline
@@ -54,7 +54,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "all | fig5 | fig8 | fig9 | table1 | table2 | adaptive | enginestats | identity | planner | reorder")
+		experiment = flag.String("experiment", "all", "all | fig5 | fig8 | fig9 | table1 | table2 | enginestats | identity | planner | reorder")
 		full       = flag.Bool("full", false, "larger instances (several minutes; table2 adds the paper's moduli)")
 		reps       = flag.Int("reps", 1, "timing repetitions (fastest run reported)")
 		budget     = flag.Duration("budget", 30*time.Second, "per-run timeout (paper: 2 CPU hours)")
@@ -221,10 +221,6 @@ func main() {
 			}
 			return bench.RenderEngineStats(rows), bench.EngineStatsCSV(rows), "", nil
 		})
-		ran = true
-	}
-	if *experiment == "adaptive" { // ablation beyond the paper; not part of "all"
-		run("adaptive", sweepRunner(bench.AdaptiveSweep))
 		ran = true
 	}
 	if *experiment == "identity" { // kernel ablation; not part of "all"

@@ -18,8 +18,9 @@
 // a pool of N workers, with the same seeded shares.
 //
 // Strategies: sequential (default), k-operations (-k), max-size
-// (-smax), adaptive (-ratio), planner (-window, -ratio, -growth — the
-// cost-model-driven adaptive planner), combine-all. -blocks
+// (-smax), planner (picks k-operations k = 4, max-size s_max = 128 or
+// a flush at twice the state DD's size from the circuit's gate
+// locality), combine-all. -blocks
 // additionally enables the DD-repeating treatment of "repeat" blocks in
 // the input. -dot dumps the final state DD in Graphviz format.
 //
@@ -90,15 +91,12 @@ func main() {
 		strategy  = flag.String("strategy", "sequential", core.StrategyUsage())
 		k         = flag.Int("k", 4, "k for strategy k-operations")
 		smax      = flag.Int("smax", 128, "s_max for strategy max-size")
-		window    = flag.Int("window", 0, "maximum combination window for strategy planner (0 = default 1024)")
-		growth    = flag.Float64("growth", 0, "proactive-flush lookahead in gates for strategy planner (0 = default 2)")
 		blocks    = flag.Bool("blocks", false, "exploit repeated blocks (DD-repeating)")
 		shots     = flag.Int("shots", 0, "measurement samples to draw from the final state")
 		parallel  = flag.Int("parallel", 1, "split -shots into this many seeded sampling streams (seed + stream index) drawn from one simulation; dynamic programs run the streams on this many workers")
 		seed      = flag.Int64("seed", 1, "random seed for sampling")
 		top       = flag.Int("top", 8, "print the N largest-probability amplitudes")
 		showTrace = flag.Bool("trace", false, "print per-step DD sizes")
-		ratio     = flag.Float64("ratio", 1, "op/state size ratio for strategy adaptive")
 		dotOut    = flag.String("dot", "", "write the final state DD in Graphviz DOT format to this file")
 		optimize  = flag.Bool("optimize", false, "run the peephole optimiser before simulating")
 		reorder   = flag.String("reorder", "off", "variable reordering: off, static (interaction-graph order derived before the run), or sifting (dynamic sifting when the state DD grows)")
@@ -149,7 +147,9 @@ func main() {
 	}
 	text := string(src)
 
-	st, err := pickStrategy(*strategy, *k, *smax, *ratio, *window, *growth)
+	// The shared strategy table in core also backs the flag's usage
+	// string and the ddserve job decoder, so they cannot drift.
+	st, err := core.NewStrategy(*strategy, core.StrategyKnobs{K: *k, SMax: *smax})
 	if err != nil {
 		fatal(err)
 	}
@@ -518,19 +518,6 @@ func name(c *circuit.Circuit) string {
 		return c.Name
 	}
 	return "(unnamed)"
-}
-
-// pickStrategy delegates to the shared strategy table in core, so the
-// flag's accepted set, its usage string, and the ddserve job decoder
-// all come from one place and cannot drift.
-func pickStrategy(s string, k, smax int, ratio float64, window int, growth float64) (core.Strategy, error) {
-	st, err := core.NewStrategy(s, core.StrategyKnobs{
-		K: k, SMax: smax, Ratio: ratio, Window: window, Growth: growth,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 func printTopAmplitudes(res *core.Result, n, top int) {

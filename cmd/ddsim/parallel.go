@@ -21,10 +21,11 @@ import (
 // back to circuit qubit order through the run's variable order.
 func sampleShots(res *core.Result, shots, parallel int, seed int64) map[uint64]int {
 	counts := map[uint64]int{}
+	sampler := res.State.Sampler()
 	for j, share := range batch.SplitShots(shots, parallel) {
 		rng := rand.New(rand.NewSource(seed + int64(j)))
 		for s := 0; s < share; s++ {
-			counts[dd.IndexFromDD(res.Order, res.State.SampleAll(rng))]++
+			counts[dd.IndexFromDD(res.Order, sampler.Draw(rng))]++
 		}
 	}
 	return counts

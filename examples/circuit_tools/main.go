@@ -89,8 +89,9 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(5))
 	var samples []uint64
+	sampler := supRes.State.Sampler()
 	for i := 0; i < 3000; i++ {
-		samples = append(samples, supRes.State.SampleAll(rng))
+		samples = append(samples, sampler.Draw(rng))
 	}
 	fmt.Printf("linear XEB of ideal sampling on %s: %.3f (1.0 = perfect, 0 = noise)\n",
 		sup.Name, dd.LinearXEB(supRes.State, samples))

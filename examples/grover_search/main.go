@@ -46,8 +46,9 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	hits := 0
 	const shots = 20
+	sampler := rep.State.Sampler()
 	for i := 0; i < shots; i++ {
-		if rep.State.SampleAll(rng) == marked {
+		if sampler.Draw(rng) == marked {
 			hits++
 		}
 	}

@@ -49,8 +49,9 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(7))
 	fmt.Println("five samples from the final state:")
+	sampler := res.State.Sampler()
 	for i := 0; i < 5; i++ {
-		fmt.Printf("  |%010b>\n", res.State.SampleAll(rng))
+		fmt.Printf("  |%010b>\n", sampler.Draw(rng))
 	}
 	fmt.Printf("P(qubit 9 = 1) = %.3f\n", res.State.Prob(9, 1))
 }

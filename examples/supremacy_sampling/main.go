@@ -51,7 +51,8 @@ func main() {
 
 	rng := rand.New(rand.NewSource(9))
 	fmt.Println("eight sampled bitstrings:")
+	sampler := res.State.Sampler()
 	for i := 0; i < 8; i++ {
-		fmt.Printf("  %016b\n", res.State.SampleAll(rng))
+		fmt.Printf("  %016b\n", sampler.Draw(rng))
 	}
 }

@@ -135,7 +135,8 @@ func TestAllStrategiesBatchProperty(t *testing.T) {
 			core.Sequential{},
 			core.KOperations{K: 1 + rng.Intn(8)},
 			core.MaxSize{SMax: 1 << uint(2+rng.Intn(7))},
-			core.Adaptive{Ratio: 0.25 * float64(1+rng.Intn(8))},
+			core.MaxSize{SMax: 1 << uint(2+rng.Intn(7))},
+			core.Planner{},
 			core.CombineAll{},
 		}
 		sims := make([]sim, len(strategies))

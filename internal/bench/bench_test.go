@@ -207,22 +207,6 @@ func TestGroverWorkloadMatchesGenerator(t *testing.T) {
 	_ = grover.Iterations(8)
 }
 
-func TestAdaptiveSweepSmall(t *testing.T) {
-	cfg := Config{Reps: 1, Budget: time.Minute}
-	res, err := sweep(cfg, "adaptive", "r", []int{50, 100},
-		func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} }, tinyWorkloads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Speedups {
-		for _, v := range row {
-			if v <= 0 || math.IsNaN(v) {
-				t.Fatalf("invalid speed-up %v", v)
-			}
-		}
-	}
-}
-
 func TestTable1SmallInstance(t *testing.T) {
 	cfg := Config{Reps: 1, Budget: time.Minute}
 	rows, err := Table1(cfg, 8)

@@ -402,15 +402,3 @@ func bitLen(v uint64) int {
 	}
 	return n
 }
-
-// AdaptiveParams are the ratio values (×100, to keep the integer sweep
-// machinery) swept for the adaptive-strategy ablation: 0.1 … 8.
-var AdaptiveParams = []int{10, 25, 50, 100, 200, 400, 800}
-
-// AdaptiveSweep runs the fig-8/9-style sweep for the adaptive strategy
-// (an extension beyond the paper; see DESIGN.md ablations).
-func AdaptiveSweep(cfg Config) (*SweepResult, error) {
-	return sweep(cfg, "Adaptive-strategy sweep: speed-up vs. op/state size ratio (×100)", "ratio×100",
-		AdaptiveParams, func(p int) core.Strategy { return core.Adaptive{Ratio: float64(p) / 100} },
-		FigWorkloads(cfg.Full))
-}

@@ -3,17 +3,20 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // The planner experiment answers the question ROADMAP item 4 poses: can
-// the cost-model-driven planner (core.Planner) match the best fixed
-// strategy per circuit family without being told which one that is?
-// Every workload of the Fig. 8/9 mix runs under every fixed strategy
-// and under the planner with default knobs; the planner's time is
-// compared per workload against the best and worst fixed cell.
+// the planner (core.Planner), which picks one fixed rule per run from
+// gate locality, match the best fixed strategy per circuit family
+// without being told which one that is? Every workload of the Fig. 8/9
+// mix runs under every fixed strategy and under the planner; the
+// planner's time is compared per workload against the best and worst
+// fixed cell.
 
 // PlannerCell is one workload×strategy measurement of the planner
 // sweep.
@@ -30,6 +33,10 @@ type PlannerCell struct {
 // one workload.
 type PlannerSummary struct {
 	Workload string
+	// Rule names the fixed rule the planner picked (the distinct
+	// rules joined by "+" when a multi-segment workload's runs
+	// differ).
+	Rule string
 	// PlannerSeconds is the planner cell's time (math.Inf(1) when the
 	// planner cell did not finish; Mark says why).
 	PlannerSeconds float64
@@ -76,7 +83,6 @@ func plannerStrategies() []identityStrategy {
 		{name: "sequential", strategy: core.Sequential{}},
 		{name: "k-operations (k=4)", strategy: core.KOperations{K: 4}},
 		{name: "max-size (s=128)", strategy: core.MaxSize{SMax: 128}},
-		{name: "adaptive (r=1)", strategy: core.Adaptive{Ratio: 1}},
 		{name: "combine-all", strategy: core.CombineAll{}},
 	}
 }
@@ -116,6 +122,7 @@ func PlannerSweep(cfg Config) (*PlannerResult, error) {
 		set bool
 	}
 	cells := make([][]slot, len(ws))
+	rules := make([]ruleCapture, len(ws))
 	for i := range cells {
 		cells[i] = make([]slot, 1+len(fixed))
 	}
@@ -128,12 +135,13 @@ func PlannerSweep(cfg Config) (*PlannerResult, error) {
 				if s.set && s.m.Mark() != "" {
 					continue
 				}
-				var st core.Strategy = &core.Planner{}
+				opt := core.Options{Strategy: core.Planner{}, EventSink: &rules[wi], Metrics: cfg.Metrics}
 				name := "planner"
 				if col > 0 {
-					st, name = fixed[col-1].strategy, fixed[col-1].name
+					opt = core.Options{Strategy: fixed[col-1].strategy, Metrics: cfg.Metrics}
+					name = fixed[col-1].name
 				}
-				m := Time(w, core.Options{Strategy: st, Metrics: cfg.Metrics}, oneRep)
+				m := Time(w, opt, oneRep)
 				if m.Err != nil && m.Mark() == "error" {
 					return nil, fmt.Errorf("bench: planner sweep: %s/%s: %w", w.Name, name, m.Err)
 				}
@@ -145,7 +153,7 @@ func PlannerSweep(cfg Config) (*PlannerResult, error) {
 		}
 	}
 	for wi, w := range ws {
-		sum := PlannerSummary{Workload: w.Name, BestSeconds: math.Inf(1)}
+		sum := PlannerSummary{Workload: w.Name, Rule: rules[wi].String(), BestSeconds: math.Inf(1)}
 		for col, is := range fixed {
 			m := cells[wi][col+1].m
 			secs := effectiveSeconds(m, cfg)
@@ -175,6 +183,18 @@ func PlannerSweep(cfg Config) (*PlannerResult, error) {
 	return res, nil
 }
 
+// ruleCapture collects the rule names of a workload's planner events.
+type ruleCapture []string
+
+// Emit implements obs.Sink.
+func (r *ruleCapture) Emit(e obs.Event) {
+	if e.Kind == obs.KindPlanner && !slices.Contains(*r, e.Decision) {
+		*r = append(*r, e.Decision)
+	}
+}
+
+func (r ruleCapture) String() string { return strings.Join(r, "+") }
+
 // effectiveSeconds scores a measurement for best/worst comparison: a
 // clean run scores its wall time; a run that died scores the larger of
 // its elapsed time and the budget — a lower bound on what it would
@@ -190,8 +210,9 @@ func effectiveSeconds(m Measurement, cfg Config) float64 {
 // lines.
 func RenderPlanner(r *PlannerResult) string {
 	var sb strings.Builder
-	sb.WriteString("Adaptive strategy planner vs. every fixed strategy (fresh engine per cell;\n")
-	sb.WriteString("planner knobs at defaults — it is told nothing about the circuit family)\n\n")
+	sb.WriteString("Strategy planner vs. every fixed strategy (fresh engine per cell; the planner\n")
+	sb.WriteString("picks one fixed rule per run from gate locality — it is told nothing about the\n")
+	sb.WriteString("circuit family)\n\n")
 	fmt.Fprintf(&sb, "%-18s %-20s %10s\n", "Benchmark", "Strategy", "time")
 	last := ""
 	for _, c := range r.Cells {
@@ -203,12 +224,12 @@ func RenderPlanner(r *PlannerResult) string {
 	}
 	sb.WriteString("\nPer-benchmark verdict (planner/best <= 1.10 everywhere and worst/planner >= 2\n")
 	sb.WriteString("somewhere is the planner pulling its weight):\n\n")
-	fmt.Fprintf(&sb, "%-18s %10s %-20s %10s %-20s %12s %14s\n",
-		"Benchmark", "planner", "best fixed", "t-best", "worst fixed", "planner/best", "worst/planner")
+	fmt.Fprintf(&sb, "%-18s %-18s %10s %-20s %10s %-20s %12s %14s\n",
+		"Benchmark", "planner rule", "planner", "best fixed", "t-best", "worst fixed", "planner/best", "worst/planner")
 	for _, s := range r.Summaries {
 		planner := fmtCellSeconds(s.PlannerSeconds, s.PlannerMark)
-		fmt.Fprintf(&sb, "%-18s %10s %-20s %10s %-20s %12.2f %14.1f\n",
-			s.Workload, planner, s.BestStrategy, fmtCellSeconds(s.BestSeconds, ""),
+		fmt.Fprintf(&sb, "%-18s %-18s %10s %-20s %10s %-20s %12.2f %14.1f\n",
+			s.Workload, s.Rule, planner, s.BestStrategy, fmtCellSeconds(s.BestSeconds, ""),
 			s.WorstStrategy, s.VsBest(), s.WorstVsPlanner())
 	}
 	return sb.String()

@@ -144,12 +144,9 @@ dd_verify_failures_total 0
 # HELP dd_repairs_total Corruption recoveries (state rebuilt and replayed).
 # TYPE dd_repairs_total counter
 dd_repairs_total 0
-# HELP dd_planner_decisions_total Planner flush evaluations (one per gate absorbed under the planner).
+# HELP dd_planner_decisions_total Planner rule choices (one per run under the planner).
 # TYPE dd_planner_decisions_total counter
 dd_planner_decisions_total 0
-# HELP dd_planner_flushes_total Planner flush decisions taken.
-# TYPE dd_planner_flushes_total counter
-dd_planner_flushes_total 0
 # HELP dd_reorder_total Dynamic variable-reordering (sifting) passes.
 # TYPE dd_reorder_total counter
 dd_reorder_total 0
@@ -177,9 +174,6 @@ dd_pressure_fidelity_bound_ppm 0
 # HELP dd_live_nodes Live nodes in the unique tables (vector + matrix).
 # TYPE dd_live_nodes gauge
 dd_live_nodes 1242
-# HELP dd_planner_window Planner target combination window after the last decision.
-# TYPE dd_planner_window gauge
-dd_planner_window 0
 # HELP dd_reorder_nodes_before State DD size entering the last sifting pass.
 # TYPE dd_reorder_nodes_before gauge
 dd_reorder_nodes_before 0

@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"repro/internal/circuit"
@@ -645,46 +644,6 @@ func VerifyCheckpoint(path string) (*FsckReport, error) {
 	return rep, nil
 }
 
-// StrategyFromName parses a Strategy.Name() string back into the
-// strategy — the inverse used when a resume adopts the strategy
-// recorded in a checkpoint.
-func StrategyFromName(name string) (Strategy, error) {
-	switch {
-	case name == "sequential":
-		return Sequential{}, nil
-	case name == "combine-all":
-		return CombineAll{}, nil
-	case strings.HasPrefix(name, "k-operations("):
-		var k int
-		if _, err := fmt.Sscanf(name, "k-operations(k=%d)", &k); err != nil || k <= 0 {
-			return nil, fmt.Errorf("core: malformed strategy name %q", name)
-		}
-		return KOperations{K: k}, nil
-	case strings.HasPrefix(name, "max-size("):
-		var s int
-		if _, err := fmt.Sscanf(name, "max-size(s=%d)", &s); err != nil || s <= 0 {
-			return nil, fmt.Errorf("core: malformed strategy name %q", name)
-		}
-		return MaxSize{SMax: s}, nil
-	case strings.HasPrefix(name, "adaptive("):
-		var r float64
-		if _, err := fmt.Sscanf(name, "adaptive(r=%g)", &r); err != nil || r <= 0 {
-			return nil, fmt.Errorf("core: malformed strategy name %q", name)
-		}
-		return Adaptive{Ratio: r}, nil
-	case strings.HasPrefix(name, "planner("):
-		var w int
-		var r, g float64
-		if _, err := fmt.Sscanf(name, "planner(w=%d,r=%g,g=%g)", &w, &r, &g); err != nil || w < 1 || r <= 0 || g <= 0 {
-			return nil, fmt.Errorf("core: malformed strategy name %q", name)
-		}
-		// A fresh Planner: resuming resets the adaptive state — the
-		// knobs round-trip, the learned window deliberately does not.
-		return &Planner{MaxWindow: w, FlushRatio: r, Growth: g}, nil
-	}
-	return nil, fmt.Errorf("core: unknown strategy name %q", name)
-}
-
 // ResumeOptions prepares opt for resuming c from ck: the checkpoint's
 // state becomes the initial state, StartGate skips the already-applied
 // prefix, and the recorded seed is restored. It validates that the
@@ -702,14 +661,16 @@ func ResumeOptions(opt Options, c *circuit.Circuit, ck *Checkpoint) (Options, er
 	if ck.CircuitName != "" && c.Name != "" && ck.CircuitName != c.Name {
 		return opt, fmt.Errorf("core: checkpoint is for circuit %q, not %q", ck.CircuitName, c.Name)
 	}
-	if ck.Strategy != "" {
+	if ck.Strategy != "" && (opt.Strategy == nil || opt.Strategy.Name() != ck.Strategy) {
+		// Parse before comparing: an older spelling of the same
+		// strategy (the planner's knob-carrying name) still agrees.
+		st, err := StrategyFromName(ck.Strategy)
+		if err != nil {
+			return opt, fmt.Errorf("core: checkpoint strategy: %w", err)
+		}
 		if opt.Strategy == nil {
-			st, err := StrategyFromName(ck.Strategy)
-			if err != nil {
-				return opt, fmt.Errorf("core: checkpoint strategy: %w", err)
-			}
 			opt.Strategy = st
-		} else if opt.Strategy.Name() != ck.Strategy {
+		} else if opt.Strategy.Name() != st.Name() {
 			return opt, fmt.Errorf("core: checkpoint was taken under strategy %q, options request %q (clear ck.Strategy to override)",
 				ck.Strategy, opt.Strategy.Name())
 		}

@@ -8,9 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/dd"
+	"repro/internal/qft"
 )
 
 // ckptBytes serialises a representative checkpoint in the version-2
@@ -307,7 +310,7 @@ func TestVerifyCheckpointFile(t *testing.T) {
 func TestStrategyFromName(t *testing.T) {
 	for _, st := range []Strategy{
 		Sequential{}, KOperations{K: 4}, MaxSize{SMax: 4096},
-		Adaptive{Ratio: 0.75}, CombineAll{},
+		Planner{}, CombineAll{},
 	} {
 		parsed, err := StrategyFromName(st.Name())
 		if err != nil {
@@ -319,7 +322,8 @@ func TestStrategyFromName(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "bogus", "k-operations(k=0)", "k-operations(k=x)",
-		"max-size(", "max-size(s=-3)", "adaptive(r=0)", "sequential ",
+		"max-size(", "max-size(s=-3)", "adaptive(r=1)", "sequential ",
+		"sequential(x)",
 	} {
 		if _, err := StrategyFromName(bad); err == nil {
 			t.Fatalf("malformed name %q accepted", bad)
@@ -333,20 +337,20 @@ func TestResumeOptionsStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	c := randomCircuit(rng, 4, 10, false)
 	e := dd.New()
-	ck := &Checkpoint{NQubits: 4, NextGate: 3, Strategy: "adaptive(r=0.5)", State: e.ZeroState(4)}
+	ck := &Checkpoint{NQubits: 4, NextGate: 3, Strategy: "max-size(s=64)", State: e.ZeroState(4)}
 
 	opt, err := ResumeOptions(Options{}, c, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Strategy == nil || opt.Strategy.Name() != "adaptive(r=0.5)" {
+	if opt.Strategy == nil || opt.Strategy.Name() != "max-size(s=64)" {
 		t.Fatalf("recorded strategy not adopted: %v", opt.Strategy)
 	}
 
 	if _, err := ResumeOptions(Options{Strategy: Sequential{}}, c, ck); err == nil {
 		t.Fatal("strategy mismatch accepted")
 	}
-	if _, err := ResumeOptions(Options{Strategy: Adaptive{Ratio: 0.5}}, c, ck); err != nil {
+	if _, err := ResumeOptions(Options{Strategy: MaxSize{SMax: 64}}, c, ck); err != nil {
 		t.Fatalf("matching strategy rejected: %v", err)
 	}
 
@@ -377,6 +381,63 @@ func TestResumeOptionsStrategy(t *testing.T) {
 	}
 	if opt.InitialOrder != nil {
 		t.Fatalf("identity-order checkpoint resumed with order %v", opt.InitialOrder)
+	}
+}
+
+// resumeFrom writes a mid-run checkpoint of c recorded under the given
+// strategy name, reads it back and resumes it with opt.
+func resumeFrom(t *testing.T, c *circuit.Circuit, recorded string, opt Options) (*Result, error) {
+	t.Helper()
+	var ck *Checkpoint
+	var buf bytes.Buffer
+	_, err := Run(c, Options{Strategy: Planner{}, CheckpointEvery: len(c.Gates) / 2, OnCheckpoint: func(got *Checkpoint) error {
+		if ck == nil {
+			ck = got
+			ck.Strategy = recorded
+			return WriteCheckpoint(&buf, ck)
+		}
+		return nil
+	}})
+	if err != nil || ck == nil {
+		t.Fatalf("checkpointed run: %v (checkpoint taken: %v)", err, ck != nil)
+	}
+	eng := dd.New()
+	back, err := ReadCheckpoint(&buf, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Engine = eng
+	ropt, err := ResumeOptions(opt, c, back)
+	if err != nil {
+		return nil, err
+	}
+	return Run(c, ropt)
+}
+
+// TestResumeLegacyPlannerCheckpoint: a checkpoint recorded under the
+// planner's old knob-carrying name resumes as "planner", both when the
+// resume adopts the recorded strategy and when it names the planner.
+func TestResumeLegacyPlannerCheckpoint(t *testing.T) {
+	c := qft.Circuit(8, true)
+	for _, opt := range []Options{{}, {Strategy: Planner{}}} {
+		res, err := resumeFrom(t, c, "planner(w=1024,r=1,g=2)", opt)
+		if err != nil {
+			t.Fatalf("resume with strategy %v: %v", opt.Strategy, err)
+		}
+		if f := fidelityWithDense(t, res, c); f < 1-1e-9 {
+			t.Fatalf("resumed planner run: fidelity %v", f)
+		}
+	}
+}
+
+// TestResumeRemovedStrategyCheckpointFails: a checkpoint recorded under the
+// removed adaptive strategy fails to resume with a *ConfigError that
+// names it.
+func TestResumeRemovedStrategyCheckpointFails(t *testing.T) {
+	_, err := resumeFrom(t, qft.Circuit(8, true), "adaptive(r=1)", Options{})
+	var ce *ConfigError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Msg, `"adaptive" was removed`) {
+		t.Fatalf("adaptive checkpoint resume: %v, want a *ConfigError naming the removed strategy", err)
 	}
 }
 

@@ -89,34 +89,6 @@ func (s MaxSize) ShouldApply(_ int, opSize, _ func() int) bool {
 	return opSize() > s.SMax
 }
 
-// Adaptive flushes once the accumulated operation DD grows beyond
-// Ratio times the current state DD — an extension of the paper's
-// max-size idea that normalises the threshold by the quantity actually
-// driving the matrix-vector cost. With large state DDs it keeps
-// combining aggressively; with small ones it behaves almost
-// sequentially. Included as an ablation of the fixed-threshold design
-// choice.
-type Adaptive struct {
-	// Ratio is the op-to-state size ratio above which the accumulated
-	// matrix is applied. Values around 0.5–2 work well; zero selects 1.
-	Ratio float64
-}
-
-// Name implements Strategy.
-func (s Adaptive) Name() string { return fmt.Sprintf("adaptive(r=%g)", s.ratio()) }
-
-func (s Adaptive) ratio() float64 {
-	if s.Ratio <= 0 {
-		return 1
-	}
-	return s.Ratio
-}
-
-// ShouldApply implements Strategy.
-func (s Adaptive) ShouldApply(_ int, opSize, stateSize func() int) bool {
-	return float64(opSize()) > s.ratio()*float64(stateSize())
-}
-
 // CombineAll never flushes until the end of the circuit — the extreme
 // case of completely following Eq. 2, which the paper shows is *not* a
 // good idea. Included for the ablation benchmarks.
@@ -471,13 +443,11 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	if eng == nil {
 		eng = dd.New()
 	}
-	// Strategies with per-run adaptive state (the planner) are cloned so
-	// concurrent runs sharing one Options value cannot race, then bound
-	// to this run's engine and circuit.
-	if rb, ok := opt.Strategy.(runBound); ok {
-		rb = rb.cloneForRun()
-		rb.bindRun(eng, c, opt.StartGate)
-		opt.Strategy = rb
+	// The planner hands the run to the fixed rule its locality band
+	// picks; every other strategy is its own rule.
+	rule, ruleName := opt.Strategy, ""
+	if p, ok := opt.Strategy.(Planner); ok {
+		rule, ruleName = p.rule(c)
 	}
 
 	start := time.Now()
@@ -503,6 +473,7 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		eng:       eng,
 		c:         c,
 		opt:       opt,
+		rule:      rule,
 		ctx:       ctx,
 		obs:       ro,
 		ver:       ver,
@@ -523,6 +494,9 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		eng.SetObserver(ro)
 		defer func() { r.eng.SetObserver(nil) }()
 		ro.runStart(c, opt.StartGate)
+		if ruleName != "" {
+			ro.plannerEv(opt.StartGate, ruleName)
+		}
 	}
 	// Arm the engine-level abort layer too: a single multiplication on
 	// huge diagrams can outlive many per-gate checks. The deferred
@@ -590,7 +564,10 @@ type runner struct {
 	eng *dd.Engine
 	c   *circuit.Circuit
 	opt Options
-	ctx context.Context
+	// rule decides the flushes: opt.Strategy, or the fixed rule the
+	// planner picked for this run.
+	rule Strategy
+	ctx  context.Context
 	// obs is the run's observability bridge (nil unless the run asked
 	// for events, metrics or a trace); it owns the TracePoint recording.
 	obs  *runObserver
@@ -687,8 +664,7 @@ func (r *runner) run() error {
 			}
 			return opSz
 		}
-		if r.accValid && (r.gov.pinned() || r.opt.Strategy.ShouldApply(r.combined, opSize, r.stateSize)) {
-			r.notePlannerDecision()
+		if r.accValid && (r.gov.pinned() || r.rule.ShouldApply(r.combined, opSize, r.stateSize)) {
 			if err := r.flush(r.next); err != nil {
 				if err = r.continueAfter(err); err != nil {
 					return err
@@ -912,24 +888,6 @@ func (r *runner) sift() error {
 	return nil
 }
 
-// notePlannerDecision collects the flush decision a decision-taking
-// strategy (the planner) just made and forwards it to the obs layer.
-// The decision is drained even without an observer so a stale one can
-// never be attributed to a later flush.
-func (r *runner) notePlannerDecision() {
-	dt, ok := r.opt.Strategy.(decisionTaker)
-	if !ok {
-		return
-	}
-	d, ok := dt.takeDecision()
-	if !ok {
-		return
-	}
-	if r.obs != nil {
-		r.obs.plannerEv(r.next, d)
-	}
-}
-
 func (r *runner) applyOp(op dd.MEdge, gateIndex, combined int, fromBlock bool, blockName string, reuse bool) {
 	var start time.Time
 	if r.obs != nil {
@@ -938,9 +896,6 @@ func (r *runner) applyOp(op dd.MEdge, gateIndex, combined int, fromBlock bool, b
 	r.v = r.eng.MulVec(op, r.v)
 	r.stateSz = -1
 	r.applied = gateIndex
-	if rb, ok := r.opt.Strategy.(runBound); ok {
-		rb.noteApply(gateIndex)
-	}
 	opSz := r.eng.SizeM(op)
 	r.eng.NoteMatrixSize(opSz)
 	if r.obs == nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -372,10 +373,7 @@ func TestStrategyValidation(t *testing.T) {
 		KOperations{K: -3},
 		MaxSize{},
 		MaxSize{SMax: -1},
-		Adaptive{Ratio: -0.5},
-		&Planner{MaxWindow: -1},
-		&Planner{FlushRatio: -1},
-		&Planner{Growth: -2},
+		&Planner{},
 	}
 	for _, st := range bad {
 		res, err := Run(c, Options{Strategy: st})
@@ -393,8 +391,7 @@ func TestStrategyValidation(t *testing.T) {
 	good := []Strategy{
 		KOperations{K: 1},
 		MaxSize{SMax: 1},
-		Adaptive{},
-		&Planner{},
+		Planner{},
 		Sequential{},
 		CombineAll{},
 	}
@@ -418,9 +415,7 @@ func TestNewStrategy(t *testing.T) {
 		{"k-operations", StrategyKnobs{}, "k-operations(k=4)"},
 		{"k-operations", StrategyKnobs{K: 7}, "k-operations(k=7)"},
 		{"max-size", StrategyKnobs{}, "max-size(s=128)"},
-		{"adaptive", StrategyKnobs{Ratio: 2}, "adaptive(r=2)"},
-		{"planner", StrategyKnobs{}, "planner(w=1024,r=1,g=2)"},
-		{"planner", StrategyKnobs{Window: 16, Ratio: 0.5, Growth: 4}, "planner(w=16,r=0.5,g=4)"},
+		{"planner", StrategyKnobs{}, "planner"},
 		{"combine-all", StrategyKnobs{}, "combine-all"},
 	}
 	for _, tc := range cases {
@@ -439,8 +434,8 @@ func TestNewStrategy(t *testing.T) {
 	if _, err := NewStrategy("k-operations", StrategyKnobs{K: -1}); !errors.As(err, &ce) {
 		t.Fatalf("negative k: %v", err)
 	}
-	if _, err := NewStrategy("planner", StrategyKnobs{Window: -4}); !errors.As(err, &ce) {
-		t.Fatalf("negative window: %v", err)
+	if _, err := NewStrategy("adaptive", StrategyKnobs{}); !errors.As(err, &ce) || !strings.Contains(ce.Msg, `"adaptive" was removed`) {
+		t.Fatalf("removed adaptive: %v", err)
 	}
 	// Every canonical selector must construct with default knobs and
 	// survive the checkpoint name round-trip.

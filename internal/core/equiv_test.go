@@ -128,28 +128,6 @@ func TestTraceOfGateMatrices(t *testing.T) {
 	}
 }
 
-func TestAdaptiveStrategy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := randomCircuit(rng, 5, 60, false)
-	res, err := Run(c, Options{Strategy: Adaptive{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := fidelityWithDense(t, res, c); f < 1-1e-9 {
-		t.Fatalf("adaptive fidelity %v", f)
-	}
-	// Adaptive must actually combine something on entangled workloads.
-	if res.MatMatSteps == 0 {
-		t.Fatal("adaptive never combined operations")
-	}
-	if (Adaptive{}).Name() != "adaptive(r=1)" {
-		t.Fatalf("name %q", Adaptive{}.Name())
-	}
-	if (Adaptive{Ratio: 2.5}).Name() != "adaptive(r=2.5)" {
-		t.Fatalf("name %q", (Adaptive{Ratio: 2.5}).Name())
-	}
-}
-
 func TestCombineGatesTreeMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	eng := dd.New()

@@ -119,6 +119,22 @@ func TestGoldenRuns(t *testing.T) {
 			golden{"4a1335f63c1a68ff4ad411faf7c02694d2e3faaff97efc4ac4f6b31af16400cf", 3286, 40219, 21699, 11607},
 		},
 		{
+			"grover_14/planner",
+			circuitRun(g14, core.Options{Strategy: core.Planner{}}),
+			// Locality 0.15 picks max-size s_max = 128: 84 mat-vec and
+			// 3,130 mat-mat steps, the same digest and counts as
+			// MaxSize{SMax: 128}. Fidelity 1 + 3.9e-13; final state 27
+			// nodes.
+			golden{"1c24353371cf67246b35853dae6d749d1ccfc1c34fc663644542ab017161203d", 4905, 81608, 37264, 21559},
+		},
+		{
+			"supremacy_4x4_d13/planner",
+			circuitRun(sup, core.Options{Strategy: core.Planner{}}),
+			// Locality 0 picks the flush at twice the state DD's size.
+			// Fidelity 1 + 1.3e-15.
+			golden{"8f25a601a0633002f9213bf768bf8e0d157a32f82fb79cc168abef8bd33f9d1e", 5742, 77736, 10497, 26023},
+		},
+		{
 			"tfim_10/blocks",
 			circuitRun(tfim, core.Options{UseBlocks: true}),
 			// Fidelity 1 − 2.7e-12 (was 1 − 2.3e-12). 37 % fewer

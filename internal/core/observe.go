@@ -46,7 +46,6 @@ type runMetrics struct {
 	verifyFailures           *obs.Counter
 	repairs                  *obs.Counter
 	plannerDecisions         *obs.Counter
-	plannerFlushes           *obs.Counter
 	reorders                 *obs.Counter
 	reorderSwaps             *obs.Counter
 	reorderSiftPasses        *obs.Counter
@@ -56,7 +55,6 @@ type runMetrics struct {
 	pressureLevel            *obs.Gauge
 	pressureFidelity         *obs.Gauge
 	liveNodes                *obs.Gauge
-	plannerWindow            *obs.Gauge
 	reorderNodesBefore       *obs.Gauge
 	reorderNodesAfter        *obs.Gauge
 	stepSeconds, gcPauseSecs *obs.Histogram
@@ -88,8 +86,7 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		verifications:      r.Counter("dd_verifications_total", "Integrity verification passes."),
 		verifyFailures:     r.Counter("dd_verify_failures_total", "Verification passes that detected corruption."),
 		repairs:            r.Counter("dd_repairs_total", "Corruption recoveries (state rebuilt and replayed)."),
-		plannerDecisions:   r.Counter("dd_planner_decisions_total", "Planner flush evaluations (one per gate absorbed under the planner)."),
-		plannerFlushes:     r.Counter("dd_planner_flushes_total", "Planner flush decisions taken."),
+		plannerDecisions:   r.Counter("dd_planner_decisions_total", "Planner rule choices (one per run under the planner)."),
 		reorders:           r.Counter("dd_reorder_total", "Dynamic variable-reordering (sifting) passes."),
 		reorderSwaps:       r.Counter("dd_reorder_swaps_total", "Adjacent level swaps performed by dynamic reordering."),
 		reorderSiftPasses:  r.Counter("dd_reorder_sift_passes_total", "Variables sifted by dynamic reordering."),
@@ -99,7 +96,6 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		pressureLevel:      r.Gauge("dd_pressure_level", "Pressure band of the governor's last action (1 low, 2 high, 3 critical)."),
 		pressureFidelity:   r.Gauge("dd_pressure_fidelity_bound_ppm", "Cumulative fidelity lower bound after approximations, in parts per million."),
 		liveNodes:          r.Gauge("dd_live_nodes", "Live nodes in the unique tables (vector + matrix)."),
-		plannerWindow:      r.Gauge("dd_planner_window", "Planner target combination window after the last decision."),
 		reorderNodesBefore: r.Gauge("dd_reorder_nodes_before", "State DD size entering the last sifting pass."),
 		reorderNodesAfter:  r.Gauge("dd_reorder_nodes_after", "State DD size leaving the last sifting pass."),
 		stepSeconds:        r.Histogram("dd_step_seconds", "Wall time per applied operation.", latBuckets),
@@ -230,24 +226,13 @@ func (o *runObserver) verifyEv(gate int, check string) {
 	o.emit(obs.Event{Kind: obs.KindVerify, Gate: gate, Check: check})
 }
 
-// plannerEv records one flush decision of the adaptive strategy
-// planner: which trip fired, the sizes it weighed, and the target
-// window after adaptation.
-func (o *runObserver) plannerEv(gate int, d PlannerDecision) {
+// plannerEv records the planner's one decision of a run: the name of
+// the fixed flush rule it picked.
+func (o *runObserver) plannerEv(gate int, rule string) {
 	if o.met != nil {
-		o.met.plannerDecisions.Add(uint64(d.Combined))
-		o.met.plannerFlushes.Inc()
-		o.met.plannerWindow.Set(int64(d.Window))
+		o.met.plannerDecisions.Inc()
 	}
-	o.emit(obs.Event{
-		Kind:       obs.KindPlanner,
-		Gate:       gate,
-		Combined:   d.Combined,
-		OpNodes:    d.OpNodes,
-		StateNodes: d.StateNodes,
-		Decision:   d.Reason,
-		Window:     d.Window,
-	})
+	o.emit(obs.Event{Kind: obs.KindPlanner, Gate: gate, Decision: rule})
 }
 
 // reorderEv records one dynamic reordering (sifting) pass.

@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dd"
+	"repro/internal/grover"
 	"repro/internal/obs"
+	"repro/internal/qft"
+	"repro/internal/supremacy"
 )
 
 // scriptedStrategy replays a recorded sequence of flush cuts: it fires
@@ -29,49 +32,58 @@ func (s *scriptedStrategy) ShouldApply(combined int, _, _ func() int) bool {
 	return false
 }
 
+// bandCircuits holds one circuit per locality band, each long enough
+// that its band's rule flushes more than once.
+func bandCircuits() map[string]*circuit.Circuit {
+	return map[string]*circuit.Circuit{
+		"k-operations(k=4)": qft.Circuit(8, true),
+		"max-size(s=128)":   grover.Circuit(10, 3, 0),
+		"op>2*state":        supremacy.Circuit(3, 3, 12, 4),
+	}
+}
+
 // TestPlannerDifferential proves the planner changes only *when* the
 // accumulated matrix is applied, never *what* is computed: replaying
 // its recorded flush cuts through a strategy that looks at nothing
 // must reach a pointer-identical state DD on a shared engine, and a
-// byte-identical serialisation on a fresh one.
+// byte-identical serialisation on a fresh one. It runs one circuit per
+// locality band.
 func TestPlannerDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4; trial++ {
-		n := 4 + rng.Intn(3)
-		c := randomCircuit(rng, n, 60, false)
-
+	for want, c := range bandCircuits() {
+		if _, rule := (Planner{}).rule(c); rule != want {
+			t.Fatalf("%s: planner picks %s, want %s", c.Name, rule, want)
+		}
 		eng := dd.New()
-		planner := &Planner{MaxWindow: 8}
-		res, err := Run(c, Options{Strategy: planner, Engine: eng, RecordTrace: true})
+		res, err := Run(c, Options{Strategy: Planner{}, Engine: eng, RecordTrace: true})
 		if err != nil {
-			t.Fatalf("trial %d: planner run: %v", trial, err)
+			t.Fatalf("%s: planner run: %v", c.Name, err)
 		}
 		var cuts []int
 		for _, tp := range res.Trace {
 			cuts = append(cuts, tp.Combined)
 		}
-		if len(cuts) < 2 {
-			t.Fatalf("trial %d: planner made %d steps; too few to be interesting", trial, len(cuts))
+		if len(cuts) < 3 {
+			t.Fatalf("%s: planner made %d steps; its rule must flush more than once", c.Name, len(cuts))
 		}
 
 		// Same engine: the unique tables must intern the replayed state
 		// onto the very same node.
 		ref, err := Run(c, Options{Strategy: &scriptedStrategy{cuts: cuts}, Engine: eng, RecordTrace: true})
 		if err != nil {
-			t.Fatalf("trial %d: scripted run: %v", trial, err)
+			t.Fatalf("%s: scripted run: %v", c.Name, err)
 		}
 		if res.State != ref.State {
-			t.Fatalf("trial %d: planner state not pointer-identical to scripted replay", trial)
+			t.Fatalf("%s: planner state not pointer-identical to scripted replay", c.Name)
 		}
 		if res.MatVecSteps != ref.MatVecSteps || res.MatMatSteps != ref.MatMatSteps {
-			t.Fatalf("trial %d: multiplication counts diverge: planner %d/%d, scripted %d/%d",
-				trial, res.MatVecSteps, res.MatMatSteps, ref.MatVecSteps, ref.MatMatSteps)
+			t.Fatalf("%s: multiplication counts diverge: planner %d/%d, scripted %d/%d",
+				c.Name, res.MatVecSteps, res.MatMatSteps, ref.MatVecSteps, ref.MatMatSteps)
 		}
 
 		// Fresh engine: serialised bytes must agree too.
 		fresh, err := Run(c, Options{Strategy: &scriptedStrategy{cuts: cuts}, Engine: dd.New()})
 		if err != nil {
-			t.Fatalf("trial %d: fresh scripted run: %v", trial, err)
+			t.Fatalf("%s: fresh scripted run: %v", c.Name, err)
 		}
 		var a, b bytes.Buffer
 		if err := dd.WriteV(&a, res.State); err != nil {
@@ -81,31 +93,38 @@ func TestPlannerDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("trial %d: planner state serialisation differs from scripted replay", trial)
+			t.Fatalf("%s: planner state serialisation differs from scripted replay", c.Name)
 		}
 	}
 }
 
-// TestPlannerDeterministic: two identical planner runs on fresh engines
-// must make identical decisions — the planner consults sizes and
-// counters, never the clock.
+// TestPlannerDeterministic: identical planner runs on fresh engines
+// make identical cuts — the planner reads no clock. Grover-16 is big
+// enough that a wall-time-driven planner made a different number of
+// steps on nearly every run.
 func TestPlannerDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := randomCircuit(rng, 6, 80, false)
-	var traces [2][]TracePoint
-	for i := range traces {
-		res, err := Run(c, Options{Strategy: &Planner{}, Engine: dd.New(), RecordTrace: true})
+	c := grover.Circuit(16, 0x5a5a, 0)
+	var first *Result
+	for i := 0; i < 5; i++ {
+		res, err := Run(c, Options{Strategy: Planner{}, Engine: dd.New(), RecordTrace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces[i] = res.Trace
-	}
-	if len(traces[0]) != len(traces[1]) {
-		t.Fatalf("step counts differ: %d vs %d", len(traces[0]), len(traces[1]))
-	}
-	for i := range traces[0] {
-		if traces[0][i] != traces[1][i] {
-			t.Fatalf("step %d differs: %+v vs %+v", i, traces[0][i], traces[1][i])
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.MatVecSteps != first.MatVecSteps || res.MatMatSteps != first.MatMatSteps {
+			t.Fatalf("run %d: %d mat-vec / %d mat-mat steps, run 0: %d / %d",
+				i, res.MatVecSteps, res.MatMatSteps, first.MatVecSteps, first.MatMatSteps)
+		}
+		if len(res.Trace) != len(first.Trace) {
+			t.Fatalf("run %d: %d trace points, run 0: %d", i, len(res.Trace), len(first.Trace))
+		}
+		for j := range res.Trace {
+			if res.Trace[j] != first.Trace[j] {
+				t.Fatalf("run %d step %d: %+v, run 0: %+v", i, j, res.Trace[j], first.Trace[j])
+			}
 		}
 	}
 }
@@ -118,7 +137,7 @@ func TestPlannerMatchesDense(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		c := randomCircuit(rng, n, 40, trial%2 == 0)
 		for _, useBlocks := range []bool{false, true} {
-			res, err := Run(c, Options{Strategy: &Planner{}, UseBlocks: useBlocks})
+			res, err := Run(c, Options{Strategy: Planner{}, UseBlocks: useBlocks})
 			if err != nil {
 				t.Fatalf("trial %d blocks=%v: %v", trial, useBlocks, err)
 			}
@@ -129,156 +148,110 @@ func TestPlannerMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPlannerEventsAndMetrics: every planner flush decision surfaces as
-// a KindPlanner event with a named trip and as dd_planner_* metrics.
+// TestPlannerEventsAndMetrics: a planner run emits exactly one
+// KindPlanner event, naming its band's rule, and counts one decision in
+// dd_planner_decisions_total; a resumed run reports the same rule.
 func TestPlannerEventsAndMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c := randomCircuit(rng, 6, 120, false)
-	ring := obs.NewRing(4096)
 	reg := obs.NewRegistry()
-	res, err := Run(c, Options{Strategy: &Planner{MaxWindow: 4}, EventSink: ring, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GatesApplied != c.GateCount() {
-		t.Fatalf("applied %d of %d gates", res.GatesApplied, c.GateCount())
-	}
-	valid := map[string]bool{"window": true, "ratio": true, "growth": true, "cost": true}
-	events := 0
-	for _, e := range ring.Events() {
-		if e.Kind != obs.KindPlanner {
-			continue
+	for want, c := range bandCircuits() {
+		for _, start := range []int{0, len(c.Gates) / 2} {
+			ring := obs.NewRing(4096)
+			opt := Options{Strategy: Planner{}, EventSink: ring, Metrics: reg}
+			if start > 0 {
+				// Resume from the sequential state at gate start.
+				prefix := &circuit.Circuit{NQubits: c.NQubits, Gates: c.Gates[:start]}
+				pre, err := Run(prefix, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.Engine, opt.InitialState, opt.StartGate = pre.Engine, &pre.State, start
+			}
+			if _, err := Run(c, opt); err != nil {
+				t.Fatal(err)
+			}
+			var rules []string
+			for _, e := range ring.Events() {
+				if e.Kind == obs.KindPlanner {
+					rules = append(rules, e.Decision)
+					if e.Gate != start {
+						t.Fatalf("%s from %d: planner event at gate %d", c.Name, start, e.Gate)
+					}
+				}
+			}
+			if len(rules) != 1 || rules[0] != want {
+				t.Fatalf("%s from %d: planner events %q, want one naming %s", c.Name, start, rules, want)
+			}
 		}
-		events++
-		if !valid[e.Decision] {
-			t.Fatalf("planner event with unknown decision %q", e.Decision)
-		}
-		if e.Combined < 1 || e.Window < 1 {
-			t.Fatalf("planner event with nonsense combined=%d window=%d", e.Combined, e.Window)
-		}
 	}
-	if events == 0 {
-		t.Fatal("no KindPlanner events emitted")
-	}
-	var flushes, decisions uint64
-	seenWindow := false
+	runs := uint64(2 * len(bandCircuits()))
 	for _, m := range reg.Snapshot() {
 		switch m.Name {
-		case "dd_planner_flushes_total":
-			flushes = uint64(m.Value)
 		case "dd_planner_decisions_total":
-			decisions = uint64(m.Value)
-		case "dd_planner_window":
-			seenWindow = true
+			if uint64(m.Value) != runs {
+				t.Fatalf("dd_planner_decisions_total = %v, want %d (one per run)", m.Value, runs)
+			}
+			return
 		}
 	}
-	if flushes != uint64(events) {
-		t.Fatalf("dd_planner_flushes_total = %d, want %d (one per event)", flushes, events)
-	}
-	if decisions < flushes {
-		t.Fatalf("dd_planner_decisions_total = %d < flushes %d", decisions, flushes)
-	}
-	if !seenWindow {
-		t.Fatal("dd_planner_window gauge not registered")
-	}
+	t.Fatal("dd_planner_decisions_total not registered")
 }
 
 // TestPlannerSharedOptionsNoRace: one Options value reused across
-// concurrent runs must be safe — RunContext clones the planner per run.
-// (Run under -race in CI's batch-race job.)
+// concurrent runs is safe and every run makes the same cuts. (Run
+// under -race in CI's batch-race job.)
 func TestPlannerSharedOptionsNoRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := randomCircuit(rng, 5, 60, false)
-	planner := &Planner{MaxWindow: 8}
-	done := make(chan error, 4)
+	opt := Options{Strategy: Planner{}}
+	steps := make(chan [2]int, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			_, err := Run(c, Options{Strategy: planner, Engine: dd.New()})
-			done <- err
+			o := opt
+			o.Engine = dd.New()
+			res, err := Run(c, o)
+			if err != nil {
+				t.Error(err)
+				steps <- [2]int{-1, -1}
+				return
+			}
+			steps <- [2]int{res.MatVecSteps, res.MatMatSteps}
 		}()
 	}
-	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+	first := <-steps
+	for i := 1; i < 4; i++ {
+		if got := <-steps; got != first {
+			t.Fatalf("concurrent runs disagree: %v vs %v mat-vec/mat-mat steps", got, first)
 		}
-	}
-	if planner.eng != nil || planner.window != 0 {
-		t.Fatal("shared planner instance was mutated; runs must operate on clones")
 	}
 }
 
-// TestPlannerNameRoundTrip: the planner's canonical name reconstructs
-// an equivalent planner with fresh adaptive state.
+// TestPlannerNameRoundTrip: "planner" parses back to the planner, and
+// so do the knob-carrying names older checkpoints recorded.
 func TestPlannerNameRoundTrip(t *testing.T) {
-	for _, p := range []*Planner{{}, {MaxWindow: 16}, {MaxWindow: 32, FlushRatio: 0.5, Growth: 3}} {
-		st, err := StrategyFromName(p.Name())
+	for _, name := range []string{"planner", "planner(w=1024,r=1,g=2)", "planner(w=8,r=0.5,g=4)"} {
+		st, err := StrategyFromName(name)
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		back, ok := st.(*Planner)
-		if !ok {
-			t.Fatalf("%s: parsed to %T", p.Name(), st)
+		if _, ok := st.(Planner); !ok || st.Name() != "planner" {
+			t.Fatalf("%s: parsed to %T %q", name, st, st.Name())
 		}
-		if back.Name() != p.Name() {
-			t.Fatalf("round trip %q -> %q", p.Name(), back.Name())
-		}
-		if back.eng != nil || back.sampled || back.pending {
-			t.Fatalf("%s: reconstructed planner carries adaptive state", p.Name())
-		}
-	}
-	if _, err := StrategyFromName("planner(w=0,r=1,g=2)"); err == nil {
-		t.Fatal("malformed planner name accepted")
 	}
 }
 
-// TestPlannerInitialWindowLocality: the static cost model reads gate
-// locality to pick the starting regime. Chained gates (every pair
-// sharing a qubit, Shor-like) start at the narrow window; layers of
-// disjoint gates (random-circuit-like, locality ~0) enter ride mode
-// with the window pinned at the cap.
-func TestPlannerInitialWindowLocality(t *testing.T) {
-	local := circuit.New(8)
-	for i := 0; i < 64; i++ {
-		local.H(0)
-	}
-	scattered := circuit.New(8)
-	for i := 0; i < 64; i++ {
-		scattered.H(i % 8)
-	}
-	pLocal := &Planner{}
-	pLocal.bindRun(dd.New(), local, 0)
-	if pLocal.ride || pLocal.window != plannerNarrowInit {
-		t.Fatalf("chained gates: ride=%v window=%d; want windowed start at %d",
-			pLocal.ride, pLocal.window, plannerNarrowInit)
-	}
-	pScattered := &Planner{}
-	pScattered.bindRun(dd.New(), scattered, 0)
-	if !pScattered.ride || pScattered.window != pScattered.maxWindow() {
-		t.Fatalf("disjoint gates: ride=%v window=%d; want ride mode at cap %d",
-			pScattered.ride, pScattered.window, pScattered.maxWindow())
-	}
-}
+// plannerFlush keeps BenchmarkPlannerDecision's calls from being
+// optimised away.
+var plannerFlush bool
 
-// BenchmarkPlannerDecision guards the planner's decision path: it runs
-// on every absorbed gate, so it must stay allocation-free (enforced by
-// the CI alloc-regression step).
+// BenchmarkPlannerDecision guards the planner's own flush test: it
+// runs on every absorbed gate of a low-locality run, so it must stay
+// allocation-free (enforced by the CI alloc-regression step).
 func BenchmarkPlannerDecision(b *testing.B) {
-	c := circuit.New(6)
-	for i := 0; i < 16; i++ {
-		c.H(i%6).CX(i%6, (i+1)%6)
-	}
-	eng := dd.New()
-	p := &Planner{}
-	p.bindRun(eng, c, 0)
+	var p Strategy = Planner{}
 	opSize := func() int { return 12 }
 	stateSize := func() int { return 40 }
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		combined := 1 + i%8
-		if p.ShouldApply(combined, opSize, stateSize) {
-			p.noteApply(combined)
-			p.takeDecision()
-		}
+		plannerFlush = p.ShouldApply(1+i%8, opSize, stateSize)
 	}
 }

@@ -14,7 +14,6 @@ var strategyNames = []string{
 	"sequential",
 	"k-operations",
 	"max-size",
-	"adaptive",
 	"planner",
 	"combine-all",
 }
@@ -25,7 +24,7 @@ func StrategyNames() []string {
 }
 
 // StrategyUsage renders the selector list for flag help:
-// "sequential | k-operations | max-size | adaptive | planner | combine-all".
+// "sequential | k-operations | max-size | planner | combine-all".
 func StrategyUsage() string { return strings.Join(strategyNames, " | ") }
 
 // StrategyKnobs carries the per-family parameters a named strategy
@@ -36,15 +35,6 @@ type StrategyKnobs struct {
 	K int
 	// SMax parameterises max-size (default 128).
 	SMax int
-	// Ratio parameterises adaptive and the planner's flush bound
-	// (default 1).
-	Ratio float64
-	// Window parameterises the planner's maximum combination window
-	// (default 64).
-	Window int
-	// Growth parameterises the planner's proactive-flush lookahead in
-	// gates (default 2).
-	Growth float64
 }
 
 // NewStrategy constructs the named strategy with the given knobs — the
@@ -67,10 +57,13 @@ func NewStrategy(name string, kn StrategyKnobs) (Strategy, error) {
 			s = 128
 		}
 		st = MaxSize{SMax: s}
-	case "adaptive":
-		st = Adaptive{Ratio: kn.Ratio}
 	case "planner":
-		st = &Planner{MaxWindow: kn.Window, FlushRatio: kn.Ratio, Growth: kn.Growth}
+		st = Planner{}
+	case "adaptive":
+		return nil, &ConfigError{
+			Option: "Strategy",
+			Msg:    `strategy "adaptive" was removed; "planner" applies its rule at ratio 2 to circuits of disjoint gates`,
+		}
 	case "combine-all":
 		st = CombineAll{}
 	default:
@@ -118,23 +111,40 @@ func validateStrategy(st Strategy) error {
 		if s.SMax < 1 {
 			return bad("MaxSize.SMax", "must be >= 1, got %d", s.SMax)
 		}
-	case Adaptive:
-		if s.Ratio < 0 {
-			return bad("Adaptive.Ratio", "must be >= 0 (0 selects the default 1), got %g", s.Ratio)
-		}
 	case *Planner:
-		if s == nil {
-			return bad("Planner", "nil *Planner")
-		}
-		if s.MaxWindow < 0 {
-			return bad("Planner.MaxWindow", "must be >= 0 (0 selects the default %d), got %d", defaultPlannerWindow, s.MaxWindow)
-		}
-		if s.FlushRatio < 0 {
-			return bad("Planner.FlushRatio", "must be >= 0 (0 selects the default %g), got %g", defaultPlannerRatio, s.FlushRatio)
-		}
-		if s.Growth < 0 {
-			return bad("Planner.Growth", "must be >= 0 (0 selects the default %g), got %g", defaultPlannerGrowth, s.Growth)
-		}
+		// RunContext resolves only the value to its band's rule; a
+		// pointer would run the low band's rule on every circuit.
+		return bad("Planner", "pass core.Planner{}, not a pointer")
 	}
 	return nil
+}
+
+// StrategyFromName parses a Strategy.Name() string back into the
+// strategy — the inverse a resume uses to adopt the strategy a
+// checkpoint records. It reads the family and its one parameter and
+// builds the strategy with NewStrategy. Checkpoints written before the
+// planner became a fixed-rule choice record it as
+// "planner(w=…,r=…,g=…)"; they resume as "planner".
+func StrategyFromName(name string) (Strategy, error) {
+	family, param, _ := strings.Cut(strings.TrimSuffix(name, ")"), "(")
+	var kn StrategyKnobs
+	var ok bool
+	switch family {
+	case "k-operations":
+		_, err := fmt.Sscanf(param, "k=%d", &kn.K)
+		ok = err == nil && kn.K >= 1
+	case "max-size":
+		_, err := fmt.Sscanf(param, "s=%d", &kn.SMax)
+		ok = err == nil && kn.SMax >= 1
+	case "planner", "adaptive":
+		// The old knob spellings: NewStrategy ignores a planner's and
+		// rejects adaptive as removed.
+		ok = true
+	default:
+		ok = param == ""
+	}
+	if !ok {
+		return nil, fmt.Errorf("core: malformed strategy name %q", name)
+	}
+	return NewStrategy(family, kn)
 }

@@ -303,10 +303,4 @@ func (r *runner) swapEngine(fresh *dd.Engine) {
 	r.eng = fresh
 	r.blockMats = nil
 	r.stateSz = -1
-	// A run-bound strategy (the planner) probes engine counters; point
-	// it at the replacement engine and let it re-plan from the gates
-	// about to replay.
-	if rb, ok := r.opt.Strategy.(runBound); ok {
-		rb.bindRun(fresh, r.c, r.next)
-	}
 }

@@ -21,7 +21,7 @@ var verifyStrategies = []Strategy{
 	Sequential{},
 	KOperations{K: 4},
 	MaxSize{SMax: 64},
-	Adaptive{Ratio: 1},
+	Planner{},
 	CombineAll{},
 }
 

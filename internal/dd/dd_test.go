@@ -656,8 +656,9 @@ func TestSampleAllDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	counts := map[uint64]int{}
 	const samples = 20000
+	sampler := v.Sampler()
 	for i := 0; i < samples; i++ {
-		counts[v.SampleAll(rng)]++
+		counts[sampler.Draw(rng)]++
 	}
 	if counts[2] != 0 || counts[3] != 0 {
 		t.Fatalf("impossible outcomes sampled: %v", counts)
@@ -665,6 +666,49 @@ func TestSampleAllDistribution(t *testing.T) {
 	ratio := float64(counts[0]) / samples
 	if math.Abs(ratio-0.5) > 0.02 {
 		t.Fatalf("outcome 0 frequency %v, want ~0.5", ratio)
+	}
+}
+
+// TestSamplerMatchesPathWalk: a prepared sampler draws exactly what a
+// walk that recomputes the branch masses on every shot draws — same
+// outcomes from the same rng stream — so sharing one sampler across
+// shots changes no seeded histogram.
+func TestSamplerMatchesPathWalk(t *testing.T) {
+	e := New()
+	rng := rand.New(rand.NewSource(21))
+	v := e.FromVector(randState(rng, 8))
+	walk := func(rng *rand.Rand) uint64 {
+		memo := make(map[*VNode]float64)
+		var idx uint64
+		for n := v.N; n != vTerminal; {
+			p0 := cnum.Abs2(n.E[0].W) * mass(n.E[0].N, memo)
+			p1 := cnum.Abs2(n.E[1].W) * mass(n.E[1].N, memo)
+			bit := 0
+			if p0+p1 > 0 && rng.Float64()*(p0+p1) < p1 {
+				bit = 1
+				idx |= 1 << uint(n.V)
+			}
+			n = n.E[bit].N
+		}
+		return idx
+	}
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	sampler := v.Sampler()
+	for i := 0; i < 2000; i++ {
+		if got, want := sampler.Draw(a), walk(b); got != want {
+			t.Fatalf("draw %d: sampler %d, path walk %d", i, got, want)
+		}
+	}
+}
+
+// TestSamplerDrawAllocatesNothing: once prepared, a draw only descends
+// the precomputed masses.
+func TestSamplerDrawAllocatesNothing(t *testing.T) {
+	e := New()
+	rng := rand.New(rand.NewSource(22))
+	sampler := e.FromVector(randState(rng, 8)).Sampler()
+	if allocs := testing.AllocsPerRun(200, func() { sampler.Draw(rng) }); allocs != 0 {
+		t.Fatalf("Draw allocates %v times per call, want 0", allocs)
 	}
 }
 

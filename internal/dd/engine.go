@@ -59,11 +59,6 @@ type Engine struct {
 	gateTab []gateSlot
 	foreign uint64
 
-	// strategyScratch is an opaque slot for strategy state that should
-	// live as long as the simulation does (see StrategyScratch). The
-	// engine never inspects it.
-	strategyScratch any
-
 	// noIdentitySkip disables the identity short-circuits in the
 	// multiplication kernels (see arith.go). The zero value — skipping
 	// enabled — is the production configuration; differential suites
@@ -163,58 +158,6 @@ func (e *Engine) sizeM(n *MNode) int {
 	}
 	return s
 }
-
-// Probe is a cheap O(1) sample of the engine quantities the adaptive
-// strategy planner (core.Planner) tracks between decisions: live node
-// counts per unique table and the kernel-effort counters. Unlike
-// SizeV/SizeM a probe never traverses a diagram, so sampling one per
-// absorbed gate is free relative to the multiplications themselves.
-type Probe struct {
-	// VLive and MLive are the live unique-table node counts — the
-	// delta in MLive across a gate absorption bounds how much the
-	// accumulated operation DD can have grown.
-	VLive, MLive int
-	// MulRecursions and AddRecursions are the kernel recursion
-	// counters; their delta over a window is the actual work the
-	// window's matrix-matrix products cost.
-	MulRecursions uint64
-	AddRecursions uint64
-	// IdentitySkips aggregates the identity short-circuits taken
-	// (mat-vec + mat-mat); a high skip share marks identity-dominated
-	// accumulation, which is exactly when combining stays cheap.
-	IdentitySkips uint64
-	// NodesCreated counts fresh node internings.
-	NodesCreated uint64
-}
-
-// Probe samples the engine counters; see Probe. O(1), allocation-free.
-func (e *Engine) Probe() Probe {
-	return Probe{
-		VLive:         e.vUnique.live,
-		MLive:         e.mUnique.live,
-		MulRecursions: e.stats.MulRecursions,
-		AddRecursions: e.stats.AddRecursions,
-		IdentitySkips: e.stats.IdentitySkipsMV + e.stats.IdentitySkipsMM,
-		NodesCreated:  e.stats.NodesCreated,
-	}
-}
-
-// Sub returns the component-wise delta p−prev (prev an earlier probe of
-// the same engine).
-func (p Probe) Sub(prev Probe) Probe {
-	return Probe{
-		VLive:         p.VLive - prev.VLive,
-		MLive:         p.MLive - prev.MLive,
-		MulRecursions: p.MulRecursions - prev.MulRecursions,
-		AddRecursions: p.AddRecursions - prev.AddRecursions,
-		IdentitySkips: p.IdentitySkips - prev.IdentitySkips,
-		NodesCreated:  p.NodesCreated - prev.NodesCreated,
-	}
-}
-
-// Recursions returns the total kernel recursions the probe has seen —
-// the planner's scalar work metric.
-func (p Probe) Recursions() uint64 { return p.MulRecursions + p.AddRecursions }
 
 // CacheStats counts lookups and hits of one compute cache.
 type CacheStats struct {

@@ -109,8 +109,9 @@ func TestLinearXEB(t *testing.T) {
 	// XEB ≈ 2^n Σ p² − 1 > 0; uniform random bitstrings give ≈ 0.
 	v := e.FromVector(randState(rng, 8))
 	var ideal, uniform []uint64
+	sampler := v.Sampler()
 	for i := 0; i < 4000; i++ {
-		ideal = append(ideal, v.SampleAll(rng))
+		ideal = append(ideal, sampler.Draw(rng))
 		uniform = append(uniform, uint64(rng.Intn(256)))
 	}
 	xebIdeal := LinearXEB(v, ideal)

@@ -205,26 +205,63 @@ func (v VEdge) Probabilities() []float64 {
 	return out
 }
 
-// SampleAll draws one measurement outcome of all qubits from the state's
-// distribution without collapsing it. v must be normalised.
-func (v VEdge) SampleAll(rng *rand.Rand) uint64 {
+// Sampler draws measurement outcomes of all qubits from one state
+// without collapsing it. Building it walks the state DD once; each draw
+// then descends a single path and allocates nothing.
+type Sampler struct {
+	nodes []sampleNode
+	root  int32 // index into nodes, -1 for a state without qubits
+}
+
+// sampleNode is one state node's branch masses: p1 is the mass below
+// the 1-edge, total that of both edges, next the children's indices
+// (-1 at the terminal).
+type sampleNode struct {
+	p1, total float64
+	bit       uint64 // 1 << the node's qubit
+	next      [2]int32
+}
+
+// Sampler prepares v for repeated sampling. v must be normalised.
+func (v VEdge) Sampler() *Sampler {
+	s := &Sampler{}
 	memo := make(map[*VNode]float64)
-	var idx uint64
-	n := v.N
-	for n != vTerminal {
+	index := make(map[*VNode]int32)
+	var visit func(n *VNode) int32
+	visit = func(n *VNode) int32 {
+		if n == vTerminal {
+			return -1
+		}
+		if i, ok := index[n]; ok {
+			return i
+		}
 		p0 := cnum.Abs2(n.E[0].W) * mass(n.E[0].N, memo)
 		p1 := cnum.Abs2(n.E[1].W) * mass(n.E[1].N, memo)
-		total := p0 + p1
-		var bit int
-		if total <= 0 {
-			bit = 0 // degenerate; should not happen on normalised states
-		} else if rng.Float64()*total < p1 {
+		i := int32(len(s.nodes))
+		index[n] = i
+		s.nodes = append(s.nodes, sampleNode{p1: p1, total: p0 + p1, bit: 1 << uint(n.V)})
+		c0 := visit(n.E[0].N)
+		c1 := visit(n.E[1].N)
+		s.nodes[i].next = [2]int32{c0, c1}
+		return i
+	}
+	s.root = visit(v.N)
+	return s
+}
+
+// Draw samples one outcome (bit q of the result is qubit q), consuming
+// one rng value per node on the sampled path (none at a node without
+// mass, which a normalised state does not reach).
+func (s *Sampler) Draw(rng *rand.Rand) uint64 {
+	var idx uint64
+	for i := s.root; i >= 0; {
+		n := &s.nodes[i]
+		bit := 0
+		if n.total > 0 && rng.Float64()*n.total < n.p1 {
 			bit = 1
+			idx |= n.bit
 		}
-		if bit == 1 {
-			idx |= 1 << uint(n.V)
-		}
-		n = n.E[bit].N
+		i = n.next[bit]
 	}
 	return idx
 }

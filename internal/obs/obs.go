@@ -52,12 +52,10 @@ const (
 	// the number of gates replayed; Event.Check names the check that
 	// triggered the repair.
 	KindRepair
-	// KindPlanner is one flush decision of the adaptive strategy planner
-	// (core.Planner): Event.Decision names the trip ("window", "ratio",
-	// "growth", "cost"), Event.Combined the gates in the flushed window,
-	// Event.OpNodes/StateNodes the sizes the decision weighed, and
-	// Event.Window the planner's target combination window at the
-	// decision.
+	// KindPlanner is the strategy planner's (core.Planner) one decision
+	// of a run, emitted after run_start: Event.Decision names the fixed
+	// flush rule it picked ("k-operations(k=4)", "max-size(s=128)" or
+	// "op>2*state").
 	KindPlanner
 	// KindReorder is one dynamic variable-reordering pass (sifting):
 	// Event.Swaps counts adjacent level swaps, Event.SiftPasses the
@@ -175,11 +173,8 @@ type Event struct {
 	// on a clean verification pass.
 	Check string `json:"check,omitempty"`
 
-	// Decision names the planner trip that caused a KindPlanner flush
-	// ("window", "ratio", "growth", "cost"); Window is the planner's
-	// target combination window at the decision.
+	// Decision names the flush rule a KindPlanner event reports.
 	Decision string `json:"decision,omitempty"`
-	Window   int    `json:"window,omitempty"`
 
 	// Dynamic reordering telemetry (KindReorder; Swaps and SiftPasses
 	// are also run totals on KindRunEnd). NodesBefore/NodesAfter double

@@ -427,8 +427,9 @@ func TestServeCrashRecovery(t *testing.T) {
 	}
 	refSamples := map[string]int{}
 	rng := rand.New(rand.NewSource(seed))
+	sampler := refRes.State.Sampler()
 	for i := 0; i < shots; i++ {
-		refSamples[fmt.Sprintf("%0*b", nq, refRes.State.SampleAll(rng))]++
+		refSamples[fmt.Sprintf("%0*b", nq, sampler.Draw(rng))]++
 	}
 
 	dir := t.TempDir()

@@ -34,7 +34,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 		`{"qasm":"OPENQASM 2.0;\nqreg q[99999999];\nh q[0];\n"}`,
 		`{"circuit":"qubits 2\nrepeat 1000000\nh 0\nendrepeat\n"}`,
 		`{"qasm":"OPENQASM 2.0;\nqreg q[1];\nif(c==1) h q[0];\n"}`,
-		`{"circuit":"qubits 1\nh 0\n","strategy":"adaptive","ratio":-1}`,
+		`{"circuit":"qubits 1\nh 0\n","strategy":"adaptive"}`,
 		`{"circuit":"qubits 1\nh 0\n","shots":-9223372036854775808}`,
 		"{\"circuit\":\"qubits 1\\nh \xff0\\n\"}",
 	} {

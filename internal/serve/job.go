@@ -35,21 +35,12 @@ type JobSpec struct {
 	QASM string `json:"qasm,omitempty"`
 	// Strategy selects the multiplication strategy by its canonical
 	// name — any entry of core.StrategyNames(): "sequential" (default),
-	// "k-operations", "max-size", "adaptive", "planner", "combine-all".
+	// "k-operations", "max-size", "planner", "combine-all".
 	Strategy string `json:"strategy,omitempty"`
 	// K parameterises k-operations (default 4).
 	K int `json:"k,omitempty"`
 	// SMax parameterises max-size (default 128).
 	SMax int `json:"smax,omitempty"`
-	// Ratio parameterises adaptive and the planner's flush bound
-	// (default 1.0).
-	Ratio float64 `json:"ratio,omitempty"`
-	// Window parameterises the planner's maximum combination window
-	// (default 64).
-	Window int `json:"window,omitempty"`
-	// Growth parameterises the planner's proactive-flush lookahead in
-	// gates (default 2).
-	Growth float64 `json:"growth,omitempty"`
 	// UseBlocks enables block-structured matrix reuse.
 	UseBlocks bool `json:"use_blocks,omitempty"`
 	// Shots, when positive, samples that many measurement outcomes from
@@ -263,13 +254,7 @@ func StrategyFor(spec *JobSpec) (core.Strategy, error) {
 	if name == "" {
 		name = "sequential"
 	}
-	st, err := core.NewStrategy(name, core.StrategyKnobs{
-		K:      spec.K,
-		SMax:   spec.SMax,
-		Ratio:  spec.Ratio,
-		Window: spec.Window,
-		Growth: spec.Growth,
-	})
+	st, err := core.NewStrategy(name, core.StrategyKnobs{K: spec.K, SMax: spec.SMax})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -340,9 +325,7 @@ type JobStatus struct {
 	Gates    int      `json:"gates"`
 	// Strategy is the canonical strategy name (core.Strategy.Name())
 	// the job runs under, with every knob resolved. It is journaled
-	// with the job, so a parked job resumes under the same spelling —
-	// only the knobs survive the round trip; adaptive planner state
-	// restarts fresh.
+	// with the job, so a parked job resumes under the same spelling.
 	Strategy string `json:"strategy,omitempty"`
 	// Attempt counts executions started (1 on the first run).
 	Attempt int `json:"attempt"`

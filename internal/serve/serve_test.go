@@ -257,7 +257,7 @@ func TestStrategyForSpellsCanonicalNames(t *testing.T) {
 		{JobSpec{Strategy: "k-operations"}, "k-operations(k=4)"},
 		{JobSpec{Strategy: "k-operations", K: 7}, "k-operations(k=7)"},
 		{JobSpec{Strategy: "max-size", SMax: 64}, "max-size(s=64)"},
-		{JobSpec{Strategy: "adaptive"}, "adaptive(r=1)"},
+		{JobSpec{Strategy: "planner"}, "planner"},
 		{JobSpec{Strategy: "combine-all"}, "combine-all"},
 	}
 	for _, c := range cases {

@@ -226,9 +226,13 @@ func (s *Server) recover() error {
 			continue
 		}
 		circ, perr := parseSpecCircuit(&e.Spec)
+		if perr == nil {
+			_, perr = StrategyFor(&e.Spec)
+		}
 		if perr != nil {
 			// The spec was valid at admission; failing to parse now means
-			// the journal (or the code) changed under us. Fail the job
+			// the journal (or the code) changed under us — say, a job
+			// journaled under a strategy since removed. Fail the job
 			// terminally rather than crash-loop on it.
 			j.status.State = StateFailed
 			j.status.Error = fmt.Sprintf("recovery: %v", perr)
@@ -776,9 +780,9 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 	if spec.Shots > 0 {
 		rng := rand.New(rand.NewSource(spec.Seed))
 		sum.Samples = make(map[string]int)
+		sampler := res.State.Sampler()
 		for i := 0; i < spec.Shots; i++ {
-			outcome := res.State.SampleAll(rng)
-			sum.Samples[fmt.Sprintf("%0*b", circ.NQubits, outcome)]++
+			sum.Samples[fmt.Sprintf("%0*b", circ.NQubits, sampler.Draw(rng))]++
 		}
 	}
 	return sum, nil

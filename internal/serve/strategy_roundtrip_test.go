@@ -72,20 +72,8 @@ func TestStrategyRoundTripAllSurfaces(t *testing.T) {
 			}
 		})
 	}
-	// Planner knobs flow through the spec into the canonical name.
-	spec := &JobSpec{Strategy: "planner", Window: 16, Ratio: 0.5, Growth: 4}
-	st, err := StrategyFor(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Name() != "planner(w=16,r=0.5,g=4)" {
-		t.Fatalf("planner knobs spell %q", st.Name())
-	}
 	// Negative knobs are a 400-class configuration error, not a silent
 	// default.
-	if _, err := StrategyFor(&JobSpec{Strategy: "planner", Window: -1}); err == nil {
-		t.Fatal("negative planner window accepted")
-	}
 	if _, err := StrategyFor(&JobSpec{Strategy: "k-operations", K: -2}); err == nil {
 		t.Fatal("negative k accepted")
 	}
@@ -93,9 +81,7 @@ func TestStrategyRoundTripAllSurfaces(t *testing.T) {
 
 // TestServeParkedPlannerJobResumes parks a running planner job via
 // Drain and restarts the server on the same journal: the job must
-// resume under the same canonical strategy name — with the planner's
-// adaptive state reset, since only the knobs round-trip through the
-// checkpoint — and finish.
+// resume under the same canonical strategy name and finish.
 func TestServeParkedPlannerJobResumes(t *testing.T) {
 	dir := t.TempDir()
 	s, hits, release := stalledServer(t, dir, func(c *Config) {
@@ -105,7 +91,7 @@ func TestServeParkedPlannerJobResumes(t *testing.T) {
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
-	spec := `{"circuit":` + jsonStr(testCircuit(8, 400)) + `,"strategy":"planner","window":8,"shots":8,"seed":11}`
+	spec := `{"circuit":` + jsonStr(testCircuit(8, 400)) + `,"strategy":"planner","shots":8,"seed":11}`
 	_, st := submitJSON(t, ts, spec)
 	<-hits // the job is frozen inside its first durable checkpoint
 
@@ -135,7 +121,7 @@ func TestServeParkedPlannerJobResumes(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("parked planner job after restart = %+v", final)
 	}
-	if final.Strategy != "planner(w=8,r=1,g=2)" {
-		t.Fatalf("resumed under strategy %q, want planner(w=8,r=1,g=2)", final.Strategy)
+	if final.Strategy != "planner" {
+		t.Fatalf("resumed under strategy %q, want planner", final.Strategy)
 	}
 }

@@ -85,16 +85,12 @@ func KOperations(k int) Strategy { return core.KOperations{K: k} }
 // DD exceeds sMax nodes (Sec. IV-A).
 func MaxSize(sMax int) Strategy { return core.MaxSize{SMax: sMax} }
 
-// Adaptive returns the strategy that flushes once the operation DD
-// exceeds ratio times the state DD — an extension of max-size that
-// normalises the threshold by the actual matrix-vector cost driver.
-func Adaptive(ratio float64) Strategy { return core.Adaptive{Ratio: ratio} }
-
-// Planner returns the cost-model-driven adaptive strategy with default
-// knobs: it sizes the combination window per circuit segment from a
-// static locality model plus measured engine-counter cost, so no k /
-// s_max / ratio tuning is needed (see core.Planner for the knobs).
-func Planner() Strategy { return &core.Planner{} }
+// Planner returns the strategy that picks one fixed rule per run from
+// the circuit's gate locality: k-operations (k = 4) for chained gates,
+// max-size (s_max = 128) for Grover-like circuits, and a flush once the
+// operation DD passes twice the state DD for layers of disjoint gates
+// (see core.Planner). No k / s_max tuning is needed.
+func Planner() Strategy { return core.Planner{} }
 
 // Simulate runs c from |0…0> under the given strategy (nil means
 // sequential) and returns the final state as a decision diagram.

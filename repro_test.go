@@ -175,9 +175,9 @@ func TestFacadeQASMAndEquivalence(t *testing.T) {
 	}
 }
 
-func TestFacadeAdaptive(t *testing.T) {
+func TestFacadePlanner(t *testing.T) {
 	c := SupremacyCircuit(3, 3, 10, 4)
-	res, err := Simulate(c, Adaptive(1))
+	res, err := Simulate(c, Planner())
 	if err != nil {
 		t.Fatal(err)
 	}
