@@ -230,7 +230,7 @@ func Time(w Workload, opt core.Options, cfg Config) Measurement {
 // place, so the caller's opt survives across reps and across
 // concurrently measured cells.
 func timeOnce(w Workload, opt core.Options, cfg Config) Measurement {
-	// Harvest run totals from the run_end event; core emits it even for
+	// Harvest run totals from the run_end events; core emits one even for
 	// aborted runs, so timeout/oom cells still carry their counters.
 	capture := &runEndCapture{}
 	sinks := obs.MultiSink{capture}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grover"
+	"repro/internal/obs"
 )
 
 // tinyWorkloads keeps experiment tests fast.
@@ -417,6 +418,50 @@ func TestTimeRepsKeepMatchingCell(t *testing.T) {
 	// that the cell is populated and consistent with a clean run.
 	if m.Cell.Abort != "" || m.Cell.MatVecMuls == 0 {
 		t.Fatalf("cell %+v", m.Cell)
+	}
+}
+
+// TestCellSumsEveryRunEnd: gate-level Shor makes one core run per
+// phase-estimation round, and the cell must report the workload, not
+// its last round: counters and degradations summed over every run_end,
+// the largest peak, and the last run's final state size.
+func TestCellSumsEveryRunEnd(t *testing.T) {
+	ring := obs.NewRing(1 << 16)
+	m := Time(ShorWorkload(15, 7), core.Options{Strategy: core.KOperations{K: 4}},
+		Config{Reps: 1, Budget: time.Minute, Events: ring})
+	if m.Err != nil {
+		t.Fatal(m.Err)
+	}
+	var (
+		ends                    []obs.Event
+		muls, nodes, recursions uint64
+		peak, degradations      int
+	)
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindRunEnd {
+			continue
+		}
+		ends = append(ends, e)
+		muls += e.MatVecMuls
+		nodes += e.NodesCreated
+		recursions += e.MulRecursions
+		peak = max(peak, e.PeakNodes)
+		degradations += e.Degradations
+	}
+	if len(ends) < 2 {
+		t.Fatalf("%d run_end events; the check needs several", len(ends))
+	}
+	c := m.Cell
+	if c.MatVecMuls != muls || c.NodesCreated != nodes || c.MulRecursions != recursions {
+		t.Fatalf("cell mat-vec/nodes/recursions %d/%d/%d, run_end sums %d/%d/%d",
+			c.MatVecMuls, c.NodesCreated, c.MulRecursions, muls, nodes, recursions)
+	}
+	if muls != 1944 {
+		t.Fatalf("shor_15_7 under k=4 made %d mat-vec products over %d runs, want 1944", muls, len(ends))
+	}
+	if last := ends[len(ends)-1]; c.PeakNodes != peak || c.Degradations != degradations || c.StateNodes != last.StateNodes {
+		t.Fatalf("cell peak/degradations/state %d/%d/%d, want %d/%d/%d",
+			c.PeakNodes, c.Degradations, c.StateNodes, peak, degradations, last.StateNodes)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 
 // CellMetrics is the per-cell observability snapshot an experiment
 // carries alongside its timing: the run totals harvested from the
-// run's closing run_end event (see internal/obs). Aborted cells
-// (timeout / oom) still carry the partial run's totals, which is
-// exactly what explains *why* the cell failed.
+// closing run_end events of the measured workload (see internal/obs
+// and runEndCapture). Aborted cells (timeout / oom) still carry the
+// partial run's totals, which is exactly what explains *why* the cell
+// failed.
 type CellMetrics struct {
 	// Valid reports whether a run_end event was captured; runs that
 	// fail before the simulation starts (config errors) have none.
@@ -48,35 +49,47 @@ func (c CellMetrics) CacheHitRate() float64 {
 }
 
 // runEndCapture is the sink the harness attaches to every measured
-// run: it keeps the last run_end event (multi-run workloads such as
-// shor's semiclassical loop emit several; the final one carries the
-// totals of the run that produced the cell's outcome).
+// run. A multi-run workload (shor's semiclassical loop) emits one
+// run_end per core run, each carrying that run's totals: the capture
+// sums their engine counters and degradations and keeps the largest
+// peak, and takes the final state size, fidelity bound and abort from
+// the last one, the run that produced the cell's outcome.
 type runEndCapture struct {
-	ev obs.Event
-	ok bool
+	last         obs.Event
+	counters     obs.EngineCounters
+	peakNodes    int
+	degradations int
+	ok           bool
 }
 
 func (s *runEndCapture) Emit(e obs.Event) {
-	if e.Kind == obs.KindRunEnd {
-		s.ev, s.ok = e, true
+	if e.Kind != obs.KindRunEnd {
+		return
 	}
+	for i := range dd.StepCounters {
+		*s.counters.Step(i) += *e.Step(i)
+	}
+	s.counters.GCs += e.GCs
+	s.counters.GCPauseNS += e.GCPauseNS
+	s.peakNodes = max(s.peakNodes, e.PeakNodes)
+	s.degradations += e.Degradations
+	s.last, s.ok = e, true
 }
 
-// cell converts the captured run_end into a CellMetrics.
+// cell converts the captured run_end events into a CellMetrics.
 func (s *runEndCapture) cell(seconds float64) CellMetrics {
 	if !s.ok {
 		return CellMetrics{Seconds: seconds}
 	}
-	e := s.ev
 	return CellMetrics{
 		Valid:          true,
 		Seconds:        seconds,
-		EngineCounters: e.EngineCounters,
-		PeakNodes:      e.PeakNodes,
-		StateNodes:     e.StateNodes,
-		Degradations:   e.Degradations,
-		FidelityBound:  e.FidelityBound,
-		Abort:          e.Abort,
+		EngineCounters: s.counters,
+		PeakNodes:      s.peakNodes,
+		StateNodes:     s.last.StateNodes,
+		Degradations:   s.degradations,
+		FidelityBound:  s.last.FidelityBound,
+		Abort:          s.last.Abort,
 	}
 }
 

@@ -15,6 +15,9 @@ package dd
 // arenaChunkSize is the number of nodes per chunk. 2048 VNodes ≈ 128 KiB
 // and 2048 MNodes ≈ 224 KiB: big enough to amortise allocation, small
 // enough that tiny engines (tests build thousands of them) stay cheap.
+// The first chunk of each arena, like every compute cache and memo, is
+// allocated on first use, so an empty engine holds only its two 8 KiB
+// unique tables.
 const arenaChunkSize = 2048
 
 type vArena struct {

@@ -53,7 +53,8 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 	x, y := a.N, b.N
 	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
 	e.stats.AddV.Lookups++
-	if s := &e.addVTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
+	tab := lazy(&e.addVTab, cacheSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
 		e.stats.AddV.Hits++
 		return e.scaleV(s.r, a.W)
 	}
@@ -62,7 +63,7 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 		children[i] = e.addV(x.E[i], VEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
 	r := e.makeVNode(x.V, children[0], children[1])
-	e.addVTab[idx] = addVSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	tab[idx] = addVSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
 	return e.scaleV(r, a.W)
 }
 
@@ -107,7 +108,8 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 	x, y := a.N, b.N
 	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
 	e.stats.AddM.Lookups++
-	if s := &e.addMTab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
+	tab := lazy(&e.addMTab, cacheSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
 		e.stats.AddM.Hits++
 		return e.scaleM(s.r, a.W)
 	}
@@ -116,7 +118,7 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 		children[i] = e.addM(x.E[i], MEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
 	r := e.makeMNode(x.V, children)
-	e.addMTab[idx] = addMSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	tab[idx] = addMSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
 	return e.scaleM(r, a.W)
 }
 
@@ -176,7 +178,8 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 	}
 	idx := mix(m.N.id, v.N.id) & cacheMask
 	e.stats.MulMV.Lookups++
-	if s := &e.mulMVTab[idx]; s.gen == e.cacheGen && s.m == m.N.id && s.v == v.N.id {
+	tab := lazy(&e.mulMVTab, cacheSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.m == m.N.id && s.v == v.N.id {
 		e.stats.MulMV.Hits++
 		return e.scaleV(s.r, w)
 	}
@@ -197,7 +200,7 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 		children[row] = sum
 	}
 	r := e.makeVNode(m.N.V, children[0], children[1])
-	e.mulMVTab[idx] = mulMVSlot{m: m.N.id, v: v.N.id, r: r, gen: e.cacheGen}
+	tab[idx] = mulMVSlot{m: m.N.id, v: v.N.id, r: r, gen: e.cacheGen}
 	return e.scaleV(r, w)
 }
 
@@ -243,7 +246,8 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 	}
 	idx := mix(a.N.id, b.N.id) & cacheMask
 	e.stats.MulMM.Lookups++
-	if s := &e.mulMMTab[idx]; s.gen == e.cacheGen && s.a == a.N.id && s.b == b.N.id {
+	tab := lazy(&e.mulMMTab, cacheSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.a == a.N.id && s.b == b.N.id {
 		e.stats.MulMM.Hits++
 		return e.scaleM(s.r, w)
 	}
@@ -264,7 +268,7 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 		}
 	}
 	r := e.makeMNode(a.N.V, children)
-	e.mulMMTab[idx] = mulMMSlot{a: a.N.id, b: b.N.id, r: r, gen: e.cacheGen}
+	tab[idx] = mulMMSlot{a: a.N.id, b: b.N.id, r: r, gen: e.cacheGen}
 	return e.scaleM(r, w)
 }
 
@@ -390,7 +394,8 @@ func (e *Engine) conjT(n *MNode) MEdge {
 		return MEdge{W: cnum.One, N: n}
 	}
 	idx := mix(n.id, 0x85ebca77) & scratchMask
-	if s := &e.ctTab[idx]; s.gen == e.cacheGen && s.n == n.id {
+	tab := lazy(&e.ctTab, scratchSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.n == n.id {
 		return s.r
 	}
 	var children [4]MEdge
@@ -399,7 +404,7 @@ func (e *Engine) conjT(n *MNode) MEdge {
 	children[2] = e.scaleM(e.conjT(n.E[1].N), conj(n.E[1].W))
 	children[3] = e.scaleM(e.conjT(n.E[3].N), conj(n.E[3].W))
 	r := e.makeMNode(n.V, children)
-	e.ctTab[idx] = ctSlot{n: n.id, r: r, gen: e.cacheGen}
+	tab[idx] = ctSlot{n: n.id, r: r, gen: e.cacheGen}
 	return r
 }
 
@@ -422,11 +427,12 @@ func (e *Engine) innerProduct(a, b VEdge) complex128 {
 		return w
 	}
 	idx := mix(a.N.id, b.N.id) & scratchMask
-	if s := &e.ipTab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id {
+	tab := lazy(&e.ipTab, scratchSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.aN == a.N.id && s.bN == b.N.id {
 		return w * s.val
 	}
 	sub := e.innerProduct(a.N.E[0], b.N.E[0]) + e.innerProduct(a.N.E[1], b.N.E[1])
-	e.ipTab[idx] = ipSlot{aN: a.N.id, bN: b.N.id, val: sub, gen: e.cacheGen}
+	tab[idx] = ipSlot{aN: a.N.id, bN: b.N.id, val: sub, gen: e.cacheGen}
 	return w * sub
 }
 
@@ -449,10 +455,11 @@ func (e *Engine) trace(n *MNode) complex128 {
 		return 1
 	}
 	idx := mix(n.id, 0x9e3779b9) & scratchMask
-	if s := &e.trTab[idx]; s.gen == e.cacheGen && s.n == n.id {
+	tab := lazy(&e.trTab, scratchSize)
+	if s := &tab[idx]; s.gen == e.cacheGen && s.n == n.id {
 		return s.val
 	}
 	v := n.E[0].W*e.trace(n.E[0].N) + n.E[3].W*e.trace(n.E[3].N)
-	e.trTab[idx] = trSlot{n: n.id, val: v, gen: e.cacheGen}
+	tab[idx] = trSlot{n: n.id, val: v, gen: e.cacheGen}
 	return v
 }

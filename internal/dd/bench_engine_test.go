@@ -28,6 +28,21 @@ func BenchmarkMakeNode(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngine measures engine construction. The compute caches,
+// query memos and gate memo are allocated on their first probe, so New
+// pays only for the two empty unique tables; CI fails the build if it
+// reports 65,536 B/op or more.
+func BenchmarkNewEngine(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newEngineSink = New()
+	}
+}
+
+// newEngineSink keeps BenchmarkNewEngine's engines on the heap, as a
+// simulation's are.
+var newEngineSink *Engine
+
 // BenchmarkMulVec applies a rotating set of random controlled gates to
 // an evolving 12-qubit state. Every application misses the compute
 // caches and builds fresh result nodes, so this measures the full hot

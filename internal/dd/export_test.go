@@ -30,3 +30,32 @@ func (e *Engine) singleEntry(n int, row, col uint64) MEdge {
 	}
 	return m
 }
+
+// AllocatedTables names the compute caches, query memos and gate memo
+// the engine holds, in declaration order.
+func (e *Engine) AllocatedTables() []string {
+	var out []string
+	for _, t := range []struct {
+		name string
+		ok   bool
+	}{
+		{"add-v", e.addVTab != nil},
+		{"add-m", e.addMTab != nil},
+		{"mul-mv", e.mulMVTab != nil},
+		{"mul-mm", e.mulMMTab != nil},
+		{"inner-product", e.ipTab != nil},
+		{"trace", e.trTab != nil},
+		{"projection", e.projTab != nil},
+		{"adjoint", e.ctTab != nil},
+		{"gate", e.gateTab != nil},
+	} {
+		if t.ok {
+			out = append(out, t.name)
+		}
+	}
+	return out
+}
+
+// SetCacheGen sets the cache generation, so that the next collection
+// takes clearCaches' wrap-around branch when g is math.MaxUint32.
+func (e *Engine) SetCacheGen(g uint32) { e.cacheGen = g }

@@ -53,7 +53,7 @@ func (e *Engine) GateDD(u [2][2]complex128, n, target int, controls []Control) M
 		k.u[i] = math.Float64bits(real(u[i/2][i%2]))
 		k.u[i+4] = math.Float64bits(imag(u[i/2][i%2]))
 	}
-	s := &e.gateTab[k.hash()&gateMask]
+	s := &lazy(&e.gateTab, gateSize)[k.hash()&gateMask]
 	e.stats.GateLookups++
 	if s.gen == e.cacheGen && s.key == k {
 		e.stats.GateHits++

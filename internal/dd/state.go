@@ -294,7 +294,8 @@ func (e *Engine) project(n *VNode, q, value int) VEdge {
 		return VOne()
 	}
 	idx := mix(n.id, 0x85ebca77) & scratchMask
-	if s := &e.projTab[idx]; s.gen == e.projGen && s.n == n.id {
+	tab := lazy(&e.projTab, scratchSize)
+	if s := &tab[idx]; s.gen == e.projGen && s.n == n.id {
 		return s.r
 	}
 	var r VEdge
@@ -311,7 +312,7 @@ func (e *Engine) project(n *VNode, q, value int) VEdge {
 			e.scaleV(c0, n.E[0].W),
 			e.scaleV(c1, n.E[1].W))
 	}
-	e.projTab[idx] = projSlot{n: n.id, r: r, gen: e.projGen}
+	tab[idx] = projSlot{n: n.id, r: r, gen: e.projGen}
 	return r
 }
 
