@@ -40,12 +40,11 @@
 // gates (structural invariants, weight canonicality, norm drift,
 // unitarity of accumulated matrices); -paranoid additionally compares
 // every verified state against a dense reference simulation (≤ 24
-// qubits). Detected corruption triggers an automatic repair — the
-// state is rebuilt into a fresh engine from the last verified snapshot
-// and the gap replayed — reported in the "repairs" output line.
-// Unrepairable corruption exits with status 7. -fsck checks a
-// checkpoint file (format, per-section CRC32, state DD audit, norm)
-// without simulating.
+// qubits). Detected corruption ends the run with exit status 7; every
+// -checkpoint file a verified run writes follows a clean pass, so
+// -resume from it is the recovery. -fsck checks a checkpoint file
+// (format, per-section CRC32, state DD audit, norm) without
+// simulating.
 //
 // Aborted runs print a partial-progress report and exit with a
 // distinct status:
@@ -250,10 +249,18 @@ func main() {
 		fmt.Printf("resumed:        %s at gate %d of %d (seed %d, strategy %s, format v%d)\n",
 			*resume, ck.NextGate, c.GateCount(), *seed, st.Name(), ck.Version)
 	}
+	// saved names the checkpoint file once this run has written one: a
+	// verified run skips its abort checkpoint when the state fails
+	// verification, so a failure may leave none behind.
+	saved := ""
 	if *ckptPath != "" {
 		runOpt.CheckpointEvery = *ckptEvery
 		runOpt.OnCheckpoint = func(ck *core.Checkpoint) error {
-			return core.SaveCheckpoint(*ckptPath, ck)
+			if err := core.SaveCheckpoint(*ckptPath, ck); err != nil {
+				return err
+			}
+			saved = *ckptPath
+			return nil
 		}
 	}
 
@@ -268,7 +275,7 @@ func main() {
 		// The partial run's telemetry is the interesting part of an
 		// aborted run; flush it before reportFailure exits.
 		octl.finish()
-		reportFailure(res, c, err, *ckptPath, governedBudget)
+		reportFailure(res, c, err, saved, governedBudget)
 	}
 
 	fmt.Printf("circuit:        %s (%d qubits, %d gates, depth %d)\n",
@@ -285,9 +292,7 @@ func main() {
 		fmt.Printf("governor:       %s\n", governorSummary(res, governedBudget))
 	}
 	if *verifyEvery > 0 || *paranoid {
-		fmt.Printf("verification:   drift %.2e, %d repair(s)\n", res.NormDrift, res.Repairs)
-	} else if res.Repairs > 0 {
-		fmt.Printf("repairs:        %d (state rebuilt and replayed after corruption)\n", res.Repairs)
+		fmt.Printf("verification:   drift %.2e\n", res.NormDrift)
 	}
 	fmt.Printf("state DD size:  %d nodes\n", res.Engine.SizeV(res.State))
 	fmt.Printf("norm:           %.9f\n", res.State.Norm())
@@ -393,7 +398,7 @@ func governorSummary(res *core.Result, budget int) string {
 // reportFailure prints a partial-progress report for an aborted run and
 // exits with a status distinguishing the failure class (3 deadline,
 // 4 budget, 5 canceled, 6 recovered panic / injected fault,
-// 7 unrepairable state corruption, 8 parked under memory pressure).
+// 7 state corruption, 8 parked under memory pressure).
 func reportFailure(res *core.Result, c *circuit.Circuit, err error, ckptPath string, budget int) {
 	var re *core.RunError
 	if !errors.As(err, &re) {
@@ -441,8 +446,7 @@ func runFsck(path string) {
 		if rep.Strategy != "" {
 			fmt.Printf("strategy:       %s\n", rep.Strategy)
 		}
-		fmt.Printf("seed:           %d (%d replays, %d repairs)\n",
-			rep.Seed, rep.Fallbacks, rep.Repairs)
+		fmt.Printf("seed:           %d (%d replays)\n", rep.Seed, rep.Fallbacks)
 		fmt.Printf("state:          %d DD nodes, norm %.9f\n", rep.StateNodes, rep.Norm)
 		if rep.Order != nil {
 			fmt.Printf("order:          %v\n", rep.Order)

@@ -141,9 +141,6 @@ dd_verifications_total 0
 # HELP dd_verify_failures_total Verification passes that detected corruption.
 # TYPE dd_verify_failures_total counter
 dd_verify_failures_total 0
-# HELP dd_repairs_total Corruption recoveries (state rebuilt and replayed).
-# TYPE dd_repairs_total counter
-dd_repairs_total 0
 # HELP dd_planner_decisions_total Planner rule choices (one per run under the planner).
 # TYPE dd_planner_decisions_total counter
 dd_planner_decisions_total 0

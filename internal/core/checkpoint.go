@@ -20,13 +20,14 @@ import (
 // after NextGate gates, plus the bookkeeping needed to continue the
 // run and reproduce downstream sampling.
 //
-// On-disk format (see DESIGN.md "Verification & self-healing"): the
+// On-disk format (see DESIGN.md "Verification and recovery"): the
 // current version 2 ("DDCKPT2\n" magic) is a sequence of sections,
 // each carrying a one-byte tag, a uvarint payload length, a CRC32
 // (IEEE) of the payload, and the payload itself:
 //
 //	'H'  header: circuit name, qubit count, next gate index, RNG seed,
-//	     fallback count, strategy name, repair count (varint-encoded)
+//	     fallback count, strategy name, and a retired repair count,
+//	     written as 0 and ignored on read (varint-encoded)
 //	'S'  state: the state DD in the serialize.go DDV1 format
 //	'O'  order: the variable order the state DD was taken under — a
 //	     uvarint count followed by count uvarint entries, order[level] =
@@ -53,9 +54,6 @@ type Checkpoint struct {
 	// resume can adopt it (and flag accidental mismatches). Empty on
 	// version-1 checkpoints.
 	Strategy string
-	// Repairs is the number of corruption recoveries the run had
-	// performed when the checkpoint was taken (see Result.Repairs).
-	Repairs int
 	// Version is the on-disk format version the checkpoint was read
 	// from (2 for fresh checkpoints; set by ReadCheckpoint).
 	Version int
@@ -126,7 +124,7 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	putU(uint64(ck.Fallbacks))
 	putU(uint64(len(ck.Strategy)))
 	hdr.WriteString(ck.Strategy)
-	putU(uint64(ck.Repairs))
+	putU(0) // retired repair count
 
 	var state bytes.Buffer
 	if err := dd.WriteV(&state, ck.State); err != nil {
@@ -179,46 +177,6 @@ func writeCkptSection(bw *bufio.Writer, tag byte, payload []byte) error {
 	}
 	_, err := bw.Write(payload)
 	return err
-}
-
-// writeCheckpointV1 emits the legacy version-1 encoding (no sections,
-// no checksums, no strategy/repair fields). Kept for compatibility
-// tests proving v1 files remain readable.
-func writeCheckpointV1(w io.Writer, ck *Checkpoint) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(ckptMagicV1[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(ck.CircuitName))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(ck.CircuitName); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(ck.NQubits)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(ck.NextGate)); err != nil {
-		return err
-	}
-	n := binary.PutVarint(buf[:], ck.Seed)
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(ck.Fallbacks)); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// WriteV takes the raw writer; bw is flushed so ordering is safe.
-	return dd.WriteV(w, ck.State)
 }
 
 // ckptReader tracks the absolute byte offset of everything consumed so
@@ -457,8 +415,7 @@ func decodeCkptHeader(payload []byte, ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	repairs, err := binary.ReadUvarint(br)
-	if err != nil {
+	if _, err := binary.ReadUvarint(br); err != nil {
 		return fmt.Errorf("repair count: %w", err)
 	}
 	ck.CircuitName = name
@@ -467,7 +424,6 @@ func decodeCkptHeader(payload []byte, ck *Checkpoint) error {
 	ck.Seed = seed
 	ck.Fallbacks = int(fallbacks)
 	ck.Strategy = strategy
-	ck.Repairs = int(repairs)
 	return nil
 }
 
@@ -597,7 +553,6 @@ type FsckReport struct {
 	Seed        int64
 	Fallbacks   int // budget-abort replays, as Checkpoint.Fallbacks
 	Strategy    string
-	Repairs     int
 	// Order is the recorded variable order (nil for identity).
 	Order []int
 	// StateNodes is the decoded state DD's node count; Norm its 2-norm.
@@ -624,7 +579,6 @@ func VerifyCheckpoint(path string) (*FsckReport, error) {
 		Seed:        ck.Seed,
 		Fallbacks:   ck.Fallbacks,
 		Strategy:    ck.Strategy,
-		Repairs:     ck.Repairs,
 		Order:       ck.Order,
 		StateNodes:  eng.SizeV(ck.State),
 	}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,7 +31,6 @@ func ckptBytes(t testing.TB) (*Checkpoint, []byte) {
 		Seed:        -77,
 		Fallbacks:   1,
 		Strategy:    "k-operations(k=4)",
-		Repairs:     2,
 		Order:       []int{2, 0, 3, 1},
 		State:       e.FromVector(randAmps(rng, 4)),
 	}
@@ -51,8 +52,8 @@ func TestCheckpointV2Roundtrip(t *testing.T) {
 	if got.Version != 2 {
 		t.Fatalf("version %d, want 2", got.Version)
 	}
-	if got.Strategy != ck.Strategy || got.Repairs != ck.Repairs {
-		t.Fatalf("strategy/repairs mismatch: %+v", got)
+	if got.Strategy != ck.Strategy {
+		t.Fatalf("strategy mismatch: %+v", got)
 	}
 	if got.CircuitName != ck.CircuitName || got.NQubits != ck.NQubits ||
 		got.NextGate != ck.NextGate || got.Seed != ck.Seed || got.Fallbacks != ck.Fallbacks {
@@ -60,6 +61,30 @@ func TestCheckpointV2Roundtrip(t *testing.T) {
 	}
 	if !ordersEqual(got.Order, ck.Order) {
 		t.Fatalf("order mismatch: %v, want %v", got.Order, ck.Order)
+	}
+	vectorsMatch(t, got.State.ToVector(), ck.State.ToVector())
+}
+
+// TestCheckpointRepairCountIgnored: the header's last field is a
+// retired repair count, written as 0. Files from builds that counted
+// repairs carry a non-zero value there; they must still load.
+func TestCheckpointRepairCountIgnored(t *testing.T) {
+	ck, data := ckptBytes(t)
+	// Magic, then the header section: tag, one-byte length, CRC32,
+	// payload; the payload's last byte is the repair count.
+	hdrLen := int(data[9])
+	if data[8] != ckptSectionHeader || hdrLen >= 0x80 || data[14+hdrLen-1] != 0 {
+		t.Fatalf("unexpected header layout % x", data[:16])
+	}
+	old := append([]byte(nil), data...)
+	old[14+hdrLen-1] = 3
+	binary.LittleEndian.PutUint32(old[10:14], crc32.ChecksumIEEE(old[14:14+hdrLen]))
+	got, err := ReadCheckpoint(bytes.NewReader(old), dd.New())
+	if err != nil {
+		t.Fatalf("checkpoint with a repair count: %v", err)
+	}
+	if got.Strategy != ck.Strategy || got.NextGate != ck.NextGate || !ordersEqual(got.Order, ck.Order) {
+		t.Fatalf("header mismatch: %+v", got)
 	}
 	vectorsMatch(t, got.State.ToVector(), ck.State.ToVector())
 }
@@ -88,8 +113,8 @@ func TestCheckpointV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 checkpoint no longer readable: %v", err)
 	}
-	if got.Version != 1 || got.Strategy != "" || got.Repairs != 0 {
-		t.Fatalf("v1 decode: version=%d strategy=%q repairs=%d", got.Version, got.Strategy, got.Repairs)
+	if got.Version != 1 || got.Strategy != "" {
+		t.Fatalf("v1 decode: version=%d strategy=%q", got.Version, got.Strategy)
 	}
 	if got.CircuitName != ck.CircuitName || got.Seed != ck.Seed {
 		t.Fatalf("v1 header mismatch: %+v", got)
@@ -182,7 +207,7 @@ func TestCheckpointUnknownSectionSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unknown section broke the read: %v", err)
 	}
-	if got.CircuitName != ck.CircuitName || got.Repairs != ck.Repairs {
+	if got.CircuitName != ck.CircuitName || got.Strategy != ck.Strategy {
 		t.Fatalf("decode through unknown section: %+v", got)
 	}
 	// A corrupted unknown section must still be caught by its CRC.
@@ -506,8 +531,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if again.CircuitName != got.CircuitName || again.NQubits != got.NQubits ||
 			again.NextGate != got.NextGate || again.Seed != got.Seed ||
-			again.Fallbacks != got.Fallbacks || again.Strategy != got.Strategy ||
-			again.Repairs != got.Repairs {
+			again.Fallbacks != got.Fallbacks || again.Strategy != got.Strategy {
 			t.Fatalf("fixpoint mismatch: %+v vs %+v", got, again)
 		}
 		// The v1 encoding has no order section, so only the v2 round
@@ -516,4 +540,44 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("order fixpoint mismatch: %v vs %v", got.Order, again.Order)
 		}
 	})
+}
+
+// writeCheckpointV1 emits the legacy version-1 encoding (no sections,
+// no checksums, no strategy field), so the compatibility tests can
+// prove v1 files remain readable.
+func writeCheckpointV1(w io.Writer, ck *Checkpoint) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(ckptMagicV1[:]); err != nil {
+		return err
+	}
+	var buf [binary.MaxVarintLen64]byte
+	putUvarint := func(v uint64) error {
+		n := binary.PutUvarint(buf[:], v)
+		_, err := bw.Write(buf[:n])
+		return err
+	}
+	if err := putUvarint(uint64(len(ck.CircuitName))); err != nil {
+		return err
+	}
+	if _, err := bw.WriteString(ck.CircuitName); err != nil {
+		return err
+	}
+	if err := putUvarint(uint64(ck.NQubits)); err != nil {
+		return err
+	}
+	if err := putUvarint(uint64(ck.NextGate)); err != nil {
+		return err
+	}
+	n := binary.PutVarint(buf[:], ck.Seed)
+	if _, err := bw.Write(buf[:n]); err != nil {
+		return err
+	}
+	if err := putUvarint(uint64(ck.Fallbacks)); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	// WriteV takes the raw writer; bw is flushed so ordering is safe.
+	return dd.WriteV(w, ck.State)
 }

@@ -165,13 +165,12 @@ type Options struct {
 	// into the registry. Sharing one registry across runs aggregates.
 	Metrics *obs.Registry
 	// VerifyEvery enables integrity verification every N absorbed gates
-	// (plus a final pass): engine audit, state audit with node paths,
-	// norm-drift tracking, and a unitarity spot-check of the accumulated
-	// operation matrix. On a failed check the runner rebuilds the state
-	// into a fresh engine from the last verified snapshot and replays
-	// the in-flight gates (bounded; see Result.Repairs); corruption that
-	// survives repair fails the run with a *RunError wrapping
-	// ErrCorruption. Zero disables verification; the hot path then
+	// (plus a final pass, and a pass before every checkpoint): engine
+	// audit, state audit with node paths, norm-drift tracking, and a
+	// unitarity spot-check of the accumulated operation matrix. A failed
+	// check fails the run with a *RunError wrapping ErrCorruption; the
+	// last checkpoint the run wrote passed the battery and is its
+	// resume point. Zero disables verification; the hot path then
 	// carries no verification cost at all.
 	VerifyEvery int
 	// Paranoid additionally runs a dense lockstep oracle and compares
@@ -245,7 +244,7 @@ var (
 	// ErrInjectedAbort reports a synthetic fault-injection abort.
 	ErrInjectedAbort = errors.New("core: injected abort")
 	// ErrCorruption reports that integrity verification detected state
-	// or engine corruption that could not be repaired.
+	// or engine corruption.
 	ErrCorruption = errors.New("core: state corruption detected")
 	// ErrPressure reports that the memory-pressure governor exhausted
 	// its degradation ladder and parked the run (checkpoint written
@@ -269,7 +268,7 @@ const (
 	// and was recovered into a typed error.
 	FailurePanic
 	// FailureCorruption: integrity verification (Options.VerifyEvery /
-	// Paranoid) detected corruption that repair could not clear.
+	// Paranoid) detected corruption.
 	FailureCorruption
 	// FailurePressure: the memory-pressure governor exhausted its
 	// degradation ladder and parked the run behind a checkpoint instead
@@ -356,10 +355,6 @@ type Result struct {
 	// GatesApplied is the gate index through which State reflects the
 	// circuit (equals len(c.Gates) on success; less after an abort).
 	GatesApplied int
-	// Repairs counts corruption recoveries: verification failures that
-	// were cleared by rebuilding the state into a fresh engine and
-	// replaying the in-flight gates (see Options.VerifyEvery).
-	Repairs int
 	// NormDrift is the largest |norm − 1| the verification passes
 	// observed (zero when verification was disabled).
 	NormDrift float64
@@ -470,20 +465,19 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	}
 	ro := newRunObserver(opt, eng)
 	r := &runner{
-		eng:       eng,
-		c:         c,
-		opt:       opt,
-		rule:      rule,
-		ctx:       ctx,
-		obs:       ro,
-		ver:       ver,
-		v:         v,
-		next:      opt.StartGate,
-		applied:   opt.StartGate,
-		lastCkpt:  opt.StartGate,
-		stateSz:   -1,
-		statsBase: statsBefore,
-		order:     order,
+		eng:      eng,
+		c:        c,
+		opt:      opt,
+		rule:     rule,
+		ctx:      ctx,
+		obs:      ro,
+		ver:      ver,
+		v:        v,
+		next:     opt.StartGate,
+		applied:  opt.StartGate,
+		lastCkpt: opt.StartGate,
+		stateSz:  -1,
+		order:    order,
 	}
 	r.buildPos()
 	r.gov = newGovernor(r)
@@ -499,23 +493,16 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		}
 	}
 	// Arm the engine-level abort layer too: a single multiplication on
-	// huge diagrams can outlive many per-gate checks. The deferred
-	// disarm reads r.eng, not eng — a corruption repair may have swapped
-	// the engine mid-run.
+	// huge diagrams can outlive many per-gate checks.
 	eng.SetDeadline(opt.Deadline)
 	eng.SetBudget(opt.MaxNodes)
 	eng.SetContext(ctx)
 	eng.SetIdentitySkip(!opt.DisableIdentitySkip)
-	defer func() {
-		r.eng.SetDeadline(time.Time{})
-		r.eng.SetBudget(0)
-		r.eng.SetContext(nil)
-		r.eng.SetSoftBudget(0, dd.Watermarks{})
-	}()
+	defer disarm(eng)
 	err := r.runRecovering()
 	if err != nil && opt.OnCheckpoint != nil {
 		var re *RunError
-		if errors.As(err, &re) {
+		if errors.As(err, &re) && r.abortCheckpointClean(re) {
 			if cerr := opt.OnCheckpoint(r.checkpoint()); cerr != nil {
 				err = errors.Join(err, fmt.Errorf("%w: abort checkpoint: %w", ErrCheckpointWrite, cerr))
 			} else if ro != nil {
@@ -524,15 +511,12 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		}
 	}
 
-	// Engine swaps fold retired-engine counters into r.carried; the run
-	// delta is carried plus the current engine's growth, and Result.Stats
-	// stays cumulative relative to the pre-run snapshot (bit-identical to
-	// the current engine's own stats when no swap happened).
-	runDelta := r.carried.Add(r.eng.Stats().Sub(r.statsBase))
+	stats := eng.Stats()
+	runDelta := stats.Sub(statsBefore)
 	res := &Result{
 		State:         r.v,
-		Engine:        r.eng,
-		Stats:         statsBefore.Add(runDelta),
+		Engine:        eng,
+		Stats:         stats,
 		Duration:      time.Since(start),
 		MatVecSteps:   int(runDelta.MatVecMuls),
 		MatMatSteps:   int(runDelta.MatMatMuls),
@@ -542,14 +526,13 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 		FidelityBound: r.gov.fidelity,
 	}
 	if ver != nil {
-		res.Repairs = ver.repairs
 		res.NormDrift = ver.maxDrift
 	}
 	if ro != nil {
 		res.Trace = ro.trace
 		sz := r.stateSz
 		if sz < 0 {
-			sz = r.eng.SizeV(r.v)
+			sz = eng.SizeV(r.v)
 		}
 		ro.finish(r.applied, sz, len(res.Degradations), res.FidelityBound, runDelta, err)
 	}
@@ -609,11 +592,6 @@ type runner struct {
 	// ver is the integrity-verification state (nil unless the run asked
 	// for VerifyEvery/Paranoid); see verify.go.
 	ver *verifier
-	// carried accumulates the counter contributions of engines retired
-	// by corruption repairs; statsBase is the current engine's snapshot
-	// at the point this run started using it.
-	carried   dd.Stats
-	statsBase dd.Stats
 }
 
 // runRecovering is the outermost backstop: any panic not already
@@ -699,8 +677,8 @@ func (r *runner) run() error {
 		if err = r.continueAfter(err); err != nil {
 			return err
 		}
-		// A replay or a repair rewound to the last applied gate; the
-		// final flush target may still be ahead, so re-run the tail.
+		// A replay rewound to the last applied gate; the final flush
+		// target may still be ahead, so re-run the tail.
 		if r.next < len(r.c.Gates) {
 			return r.run()
 		}
@@ -709,13 +687,13 @@ func (r *runner) run() error {
 }
 
 // continueAfter decides whether the main loop may go on after a step
-// failed: a scheduled replay resumes at the rewound gate, and a kernel
-// panic under verification is repaired. Every other error is final.
+// failed: a scheduled replay resumes at the rewound gate. Every other
+// error is final.
 func (r *runner) continueAfter(err error) error {
 	if errors.Is(err, errReplay) {
 		return nil
 	}
-	return r.maybeRepairOnPanic(err)
+	return err
 }
 
 // stateSize returns the state DD's node count, cached until the next
@@ -944,13 +922,7 @@ func (r *runner) runBlock(b circuit.Block) error {
 		return r.replay(err, end)
 	}
 	r.blockMats = append(r.blockMats, mat)
-	// A corruption repair inside the loop swaps the engine and nils
-	// blockMats, so the pop must tolerate an already-empty stack.
-	popBlockMat := func() {
-		if n := len(r.blockMats); n > 0 {
-			r.blockMats = r.blockMats[:n-1]
-		}
-	}
+	popBlockMat := func() { r.blockMats = r.blockMats[:len(r.blockMats)-1] }
 	for i := 0; i < b.Repeat; i++ {
 		if err := r.checkAbort(); err != nil {
 			popBlockMat()
@@ -973,17 +945,9 @@ func (r *runner) runBlock(b circuit.Block) error {
 			popBlockMat()
 			return err
 		}
-		engBefore := r.eng
 		if err := r.maybeVerify(false); err != nil {
 			popBlockMat()
 			return err
-		}
-		if r.eng != engBefore {
-			// A repair rebuilt the state on a fresh engine; the combined
-			// block matrix died with the old one. Hand the block's
-			// remaining gates back to the main loop (gate-at-a-time).
-			r.next = r.applied
-			return nil
 		}
 	}
 	popBlockMat()
@@ -1044,10 +1008,6 @@ func (r *runner) checkAbort() error {
 
 // checkpoint snapshots the current consistent state for resume.
 func (r *runner) checkpoint() *Checkpoint {
-	repairs := 0
-	if r.ver != nil {
-		repairs = r.ver.repairs
-	}
 	return &Checkpoint{
 		CircuitName: r.c.Name,
 		NQubits:     r.c.NQubits,
@@ -1055,20 +1015,50 @@ func (r *runner) checkpoint() *Checkpoint {
 		Seed:        r.opt.Seed,
 		Fallbacks:   replays(r.gov.journal),
 		Strategy:    r.opt.Strategy.Name(),
-		Repairs:     repairs,
 		Order:       append([]int(nil), r.order...),
 		State:       r.v,
 	}
 }
 
+// abortCheckpointClean reports whether a failed run may hand out its
+// state at r.applied as the abort checkpoint. Without a verifier it
+// always may. Under one, a corruption failure never does, and any other
+// failure first reruns the battery on that state with the abort
+// sources disarmed; the accumulator, which no checkpoint records, is
+// dropped from the check.
+func (r *runner) abortCheckpointClean(re *RunError) bool {
+	if r.ver == nil {
+		return true
+	}
+	if re.Kind == FailureCorruption {
+		return false
+	}
+	disarm(r.eng)
+	r.accValid = false
+	return r.maybeVerify(true) == nil
+}
+
+// disarm clears the engine's abort sources and soft budget.
+func disarm(eng *dd.Engine) {
+	eng.SetDeadline(time.Time{})
+	eng.SetBudget(0)
+	eng.SetContext(nil)
+	eng.SetSoftBudget(0, dd.Watermarks{})
+}
+
 // maybeCheckpoint emits a periodic checkpoint once enough gates have
-// been applied since the last one.
+// been applied since the last one. Under a verifier the state must
+// pass a verification pass first; a failing one ends the run and
+// leaves the previous checkpoint as the resume point.
 func (r *runner) maybeCheckpoint() error {
 	if r.opt.OnCheckpoint == nil || r.opt.CheckpointEvery <= 0 {
 		return nil
 	}
 	if r.applied-r.lastCkpt < r.opt.CheckpointEvery {
 		return nil
+	}
+	if err := r.maybeVerify(true); err != nil {
+		return err
 	}
 	r.lastCkpt = r.applied
 	if err := r.opt.OnCheckpoint(r.checkpoint()); err != nil {

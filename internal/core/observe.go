@@ -44,7 +44,6 @@ type runMetrics struct {
 	checkpoints              *obs.Counter
 	verifications            *obs.Counter
 	verifyFailures           *obs.Counter
-	repairs                  *obs.Counter
 	plannerDecisions         *obs.Counter
 	reorders                 *obs.Counter
 	reorderSwaps             *obs.Counter
@@ -85,7 +84,6 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		checkpoints:        r.Counter("dd_checkpoints_total", "Checkpoints handed to the caller."),
 		verifications:      r.Counter("dd_verifications_total", "Integrity verification passes."),
 		verifyFailures:     r.Counter("dd_verify_failures_total", "Verification passes that detected corruption."),
-		repairs:            r.Counter("dd_repairs_total", "Corruption recoveries (state rebuilt and replayed)."),
 		plannerDecisions:   r.Counter("dd_planner_decisions_total", "Planner rule choices (one per run under the planner)."),
 		reorders:           r.Counter("dd_reorder_total", "Dynamic variable-reordering (sifting) passes."),
 		reorderSwaps:       r.Counter("dd_reorder_swaps_total", "Adjacent level swaps performed by dynamic reordering."),
@@ -294,25 +292,9 @@ func pressureLevelOrdinal(level string) int {
 	return 0
 }
 
-// repairEv records a corruption recovery; replayed is the number of
-// gates re-applied on the fresh engine.
-func (o *runObserver) repairEv(gate, replayed int, check string) {
-	if o.met != nil {
-		o.met.repairs.Inc()
-	}
-	o.emit(obs.Event{Kind: obs.KindRepair, Gate: gate, Combined: replayed, Check: check})
-}
-
-// engineSwapped re-points the observer at the fresh engine after a
-// corruption repair; fresh engines count from zero.
-func (o *runObserver) engineSwapped(fresh *dd.Engine) {
-	o.eng = fresh
-	o.prev = dd.Stats{}
-}
-
 // finish emits the abort event (for failed runs) and the closing
 // run_end event carrying the run totals: totals is the run's counter
-// delta across every engine it touched.
+// delta on its engine.
 func (o *runObserver) finish(applied, stateNodes, degradations int, fidelityBound float64, totals dd.Stats, err error) {
 	abort := ""
 	var re *RunError

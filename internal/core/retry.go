@@ -34,9 +34,10 @@ var ErrCheckpointWrite = errors.New("core: checkpoint write failed")
 //   - FailureDeadline: the job's own time budget expired; a retry
 //     would consume the same budget again and fail the same way.
 //   - FailureCanceled: the caller asked for the stop.
-//   - FailureCorruption: verification found damage repair could not
-//     clear — re-running on the same inputs is how the damage was
-//     produced.
+//   - FailureCorruption: verification found damage. The run's last
+//     checkpoint passed verification and is where a caller resumes;
+//     re-running the failed attempt on the same inputs is how the
+//     damage was produced.
 //   - ErrCheckpointWrite anywhere in the error chain: the durability
 //     medium is failing, not the computation.
 //   - Anything that is not a *RunError (configuration errors,

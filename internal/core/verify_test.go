@@ -2,8 +2,9 @@ package core
 
 import (
 	"errors"
-	"math/cmplx"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/circuit"
@@ -43,9 +44,6 @@ func TestVerifiedRunMatchesDense(t *testing.T) {
 				if f := verify.Fidelity(res.State.ToVector(), oracle); f < 1-verify.FidelityTol {
 					t.Fatalf("trial %d %s paranoid=%v: fidelity %v", trial, st.Name(), paranoid, f)
 				}
-				if res.Repairs != 0 {
-					t.Fatalf("trial %d %s: %d repairs on a healthy run", trial, st.Name(), res.Repairs)
-				}
 				if res.NormDrift < 0 || res.NormDrift > dd.DefaultNormTol {
 					t.Fatalf("trial %d %s: norm drift %g", trial, st.Name(), res.NormDrift)
 				}
@@ -82,8 +80,8 @@ func TestVerifyCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NormDrift != 0 || res.Repairs != 0 {
-		t.Fatalf("unverified run reports drift %g repairs %d", res.NormDrift, res.Repairs)
+	if res.NormDrift != 0 {
+		t.Fatalf("unverified run reports drift %g", res.NormDrift)
 	}
 }
 
@@ -101,176 +99,265 @@ func TestParanoidQubitCap(t *testing.T) {
 	}
 }
 
-// TestBitFlipRepair is the chaos sweep at the runtime level: a bit-flip
-// fault is armed at varying interning counts and kinds, and every trial
-// must end in one of exactly two ways — a FailureCorruption abort, or a
-// successful run whose final state matches the dense oracle. A silent
-// wrong-amplitude escape fails the test. Requires chaos builds
-// (DD_CHAOS=1 or the ddchaos tag).
-func TestBitFlipRepair(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
-	rng := rand.New(rand.NewSource(1213))
-	repaired, aborted := 0, 0
-	for _, kind := range []dd.FaultKind{dd.FaultWeightFlip, dd.FaultChildFlip} {
-		for _, after := range []uint64{1, 5, 17, 43, 101, 211} {
-			for _, st := range verifyStrategies {
-				c := verify.RandomCircuit(rng, 4, 30)
-				oracle := dense.Simulate(c)
-				eng := dd.New()
-				if !eng.InjectBitFlipAfter(after, kind) {
-					t.Skip("fault injection did not arm (chaos disabled)")
-				}
-				res, err := Run(c, Options{
-					Engine:      eng,
-					Strategy:    st,
-					VerifyEvery: 1,
-				})
-				if err != nil {
-					if !errors.Is(err, ErrCorruption) {
-						t.Fatalf("%v after %d under %s: non-corruption failure %v", kind, after, st.Name(), err)
-					}
-					aborted++
-					continue
-				}
-				if f := verify.Fidelity(res.State.ToVector(), oracle); f < 1-verify.FidelityTol {
-					t.Fatalf("%v after %d under %s: SILENT ESCAPE — run succeeded with fidelity %v (repairs %d, faults %d)",
-						kind, after, st.Name(), f, res.Repairs, res.Stats.FaultsInjected)
-				}
-				if res.Repairs > 0 {
-					repaired++
-					if res.Stats.FaultsInjected == 0 {
-						t.Fatalf("%v after %d under %s: repair without a recorded fault", kind, after, st.Name())
-					}
-				}
-			}
+// corruptState damages the root node of a live state in place, the way
+// a fault in the engine's memory would: a mid-mantissa bit flip in its
+// first non-zero weight, or a swap of its two successor edges (a
+// redirect of the 0-child to the terminal when both are equal). The
+// node keeps its stored hash and unique-table slot; that staleness is
+// the damage.
+func corruptState(v dd.VEdge, swap bool) {
+	n := v.N
+	if swap {
+		if n.E[0] != n.E[1] {
+			n.E[0], n.E[1] = n.E[1], n.E[0]
+			return
+		}
+		if n.V > 0 {
+			n.E[0].N = dd.VOne().N
+			return
 		}
 	}
-	t.Logf("sweep: %d repaired, %d aborted", repaired, aborted)
-	if repaired == 0 {
-		t.Error("no trial exercised the repair path; widen the sweep")
+	for i, e := range n.E {
+		if e.W != 0 {
+			n.E[i].W = flipWeight(e.W)
+			return
+		}
 	}
 }
 
-// TestChaosMemoisedGateBitFlipRepair flips a bit in a gate DD that the
-// engine's gate memo then hands out again on every later use (a
-// rebuild would have re-interned a clean node instead). The verifier
-// must catch it and repair onto a fresh engine, whose memo starts
-// empty, so the run ends at the clean sequential result.
-func TestChaosMemoisedGateBitFlipRepair(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
+// flipWeight flips mantissa bit 30 of w's real part, or of its
+// imaginary part when the real part is zero: far beyond cnum's
+// tolerance, yet still a plausible amplitude.
+func flipWeight(w complex128) complex128 {
+	flip := func(x float64) float64 { return math.Float64frombits(math.Float64bits(x) ^ 1<<30) }
+	if real(w) != 0 {
+		return complex(flip(real(w)), imag(w))
+	}
+	return complex(real(w), flip(imag(w)))
+}
+
+// corruptionSweep runs every verification strategy over random 4-qubit
+// circuits with VerifyEvery and CheckpointEvery at 1, and corrupts the
+// live state handed to OnCheckpoint — a mid-run fault with no program
+// hook — at the first checkpoint at or after each of a set of gates,
+// and (persistent) at every checkpoint after it too. inspect sees each
+// checkpoint before the test damages it; done sees each run's outcome
+// and whether a fault landed.
+func corruptionSweep(t *testing.T, persistent bool,
+	inspect func(c *circuit.Circuit, ck *Checkpoint),
+	done func(c *circuit.Circuit, st Strategy, res *Result, err error, landed bool)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1213))
+	for _, swap := range []bool{false, true} {
+		for _, at := range []int{1, 5, 11, 17, 23, 29} {
+			for _, st := range verifyStrategies {
+				c := verify.RandomCircuit(rng, 4, 30)
+				landed := false
+				res, err := Run(c, Options{
+					Strategy:        st,
+					VerifyEvery:     1,
+					CheckpointEvery: 1,
+					OnCheckpoint: func(ck *Checkpoint) error {
+						if inspect != nil {
+							inspect(c, ck)
+						}
+						if ck.NextGate >= at && (persistent || !landed) {
+							corruptState(ck.State, swap)
+							landed = true
+						}
+						return nil
+					},
+				})
+				done(c, st, res, err, landed)
+			}
+		}
+	}
+}
+
+// TestCorruptionFailsTyped: a run whose state is corrupted mid-run must
+// end with the typed corruption failure (or a recovered kernel panic on
+// the damaged structure); a run the fault never reached must succeed.
+// No run may succeed with wrong amplitudes.
+func TestCorruptionFailsTyped(t *testing.T) {
+	landedRuns := 0
+	corruptionSweep(t, false, nil, func(c *circuit.Circuit, st Strategy, res *Result, err error, landed bool) {
+		if err == nil {
+			if landed {
+				t.Fatalf("%s: corrupted run succeeded", st.Name())
+			}
+			if f := verify.Fidelity(res.State.ToVector(), dense.Simulate(c)); f < 1-verify.FidelityTol {
+				t.Fatalf("%s: SILENT ESCAPE — run succeeded with fidelity %v", st.Name(), f)
+			}
+			return
+		}
+		landedRuns++
+		var re *RunError
+		if !errors.Is(err, ErrCorruption) && !(errors.As(err, &re) && re.Kind == FailurePanic) {
+			t.Fatalf("%s: corruption ended the run with %v", st.Name(), err)
+		}
+	})
+	t.Logf("%d corrupted runs failed typed", landedRuns)
+	if landedRuns == 0 {
+		t.Fatal("no fault landed; widen the sweep")
+	}
+}
+
+// TestVerifiedCheckpointsAreClean: under a verifier every checkpoint,
+// the abort checkpoint included, holds the dense simulation of its gate
+// prefix — even while a fault keeps corrupting the state. The last
+// checkpoint is then a known-good resume point.
+func TestVerifiedCheckpointsAreClean(t *testing.T) {
+	checked := 0
+	corruptionSweep(t, true, func(c *circuit.Circuit, ck *Checkpoint) {
+		prefix := &circuit.Circuit{NQubits: c.NQubits, Gates: c.Gates[:ck.NextGate]}
+		amps := dd.VectorInOrder(ck.State, ck.Order)
+		if f := verify.Fidelity(amps, dense.Simulate(prefix)); f < 1-verify.FidelityTol {
+			t.Errorf("checkpoint at gate %d: fidelity %v against its dense prefix", ck.NextGate, f)
+		}
+		checked++
+	}, func(*circuit.Circuit, Strategy, *Result, error, bool) {})
+	if checked == 0 {
+		t.Fatal("no checkpoint was written")
+	}
+}
+
+// TestChaosMemoisedGateCorruptionResumes corrupts a Grover oracle gate
+// DD in the engine's gate memo, which hands the damaged edge out again
+// on every later use. Corrupted before the run, the gate fails the
+// first verification pass: the run ends typed and writes no checkpoint.
+// Corrupted once the first checkpoint is on disk, it fails the run at
+// the next pass, and resuming from the last checkpoint on a fresh
+// engine ends at the clean run's state.
+func TestChaosMemoisedGateCorruptionResumes(t *testing.T) {
 	const n = 6
 	c := grover.Circuit(n, 0b101101, 0)
 	ref, err := Run(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []dd.FaultKind{dd.FaultWeightFlip, dd.FaultChildFlip} {
-		eng := dd.New()
-		if !eng.InjectBitFlipAfter(1, kind) {
-			t.Skip("fault injection did not arm (chaos disabled)")
-		}
-		// The first oracle gate recurs in every Grover iteration.
-		g := c.Gates[n]
-		flipped := eng.GateDD(g.Matrix, n, g.Target, g.Controls)
-		if eng.Stats().FaultsInjected != 1 {
-			t.Fatalf("%v: fault did not land in the gate DD", kind)
-		}
-		iteration := (len(c.Gates) - n) / grover.Iterations(n)
-		res, err := Run(c, Options{Engine: eng, Strategy: KOperations{K: 4}, VerifyEvery: 2 * iteration})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if res.Repairs == 0 {
-			t.Fatalf("%v: flipped gate went unrepaired", kind)
-		}
-		// The retired engine still holds the flipped gate in its memo,
-		// so every use of the gate before the repair received it.
-		if again := eng.GateDD(g.Matrix, n, g.Target, g.Controls); again != flipped {
-			t.Fatalf("%v: the memo did not keep the flipped gate", kind)
-		}
-		got, want := res.State.ToVector(), ref.State.ToVector()
-		for i := range want {
-			if cmplx.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("%v: amplitude %d = %v after repair, sequential reference %v", kind, i, got[i], want[i])
+	// The first oracle gate recurs in every Grover iteration.
+	g := c.Gates[n]
+	iteration := (len(c.Gates) - n) / grover.Iterations(n)
+	for _, swap := range []bool{false, true} {
+		for _, before := range []bool{true, false} {
+			eng := dd.New()
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			var flipped dd.MEdge
+			corrupt := func() {
+				flipped = eng.GateDD(g.Matrix, n, g.Target, g.Controls)
+				corruptMatrix(flipped, swap)
 			}
-		}
-	}
-}
-
-// TestRepairEmitsEvents checks the observability contract: a repaired
-// run emits verify events with a failing check and a repair event, and
-// the metrics counters move.
-func TestRepairEmitsEvents(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
-	rng := rand.New(rand.NewSource(99))
-	reg := obs.NewRegistry()
-	// Sweep injection points until one lands mid-run and is repaired.
-	for after := uint64(3); after < 120; after += 7 {
-		c := verify.RandomCircuit(rng, 4, 30)
-		eng := dd.New()
-		if !eng.InjectBitFlipAfter(after, dd.FaultWeightFlip) {
-			t.Skip("fault injection did not arm (chaos disabled)")
-		}
-		ring := obs.NewRing(2048)
-		pre := eng.Stats()
-		res, err := Run(c, Options{Engine: eng, VerifyEvery: 1, EventSink: ring, Metrics: reg})
-		if err != nil || res.Repairs == 0 {
-			continue
-		}
-		// The run_end totals span both engines, like Result.Stats.
-		checkRunEndTotals(t, runEndOf(t, ring.Events()), pre, res.Stats)
-		var verifies, fails, repairs int
-		for _, e := range ring.Events() {
-			switch e.Kind {
-			case obs.KindVerify:
-				verifies++
-				if e.Check != "" {
-					fails++
+			if before {
+				corrupt()
+			}
+			written := 0
+			_, err := Run(c, Options{
+				Engine:          eng,
+				Strategy:        KOperations{K: 4},
+				VerifyEvery:     2 * iteration,
+				CheckpointEvery: iteration,
+				OnCheckpoint: func(ck *Checkpoint) error {
+					if err := SaveCheckpoint(path, ck); err != nil {
+						return err
+					}
+					if written++; written == 1 && !before {
+						corrupt()
+					}
+					return nil
+				},
+			})
+			if !errors.Is(err, ErrCorruption) {
+				t.Fatalf("swap=%v before=%v: err = %v, want ErrCorruption", swap, before, err)
+			}
+			if again := eng.GateDD(g.Matrix, n, g.Target, g.Controls); again != flipped {
+				t.Fatalf("swap=%v before=%v: the memo did not keep the corrupted gate", swap, before)
+			}
+			if before {
+				if written != 0 {
+					t.Fatalf("swap=%v: %d checkpoints written from a corrupt engine", swap, written)
 				}
-			case obs.KindRepair:
-				repairs++
+				continue
 			}
+			fresh := dd.New()
+			ck, err := LoadCheckpoint(path, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt, err := ResumeOptions(Options{Engine: fresh, Strategy: KOperations{K: 4}}, c, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(c, opt)
+			if err != nil {
+				t.Fatalf("swap=%v: resume from gate %d: %v", swap, ck.NextGate, err)
+			}
+			vectorsMatch(t, res.State.ToVector(), ref.State.ToVector())
 		}
-		if verifies == 0 || fails == 0 || repairs == 0 {
-			t.Fatalf("repaired run emitted verifies=%d fails=%d repairs=%d", verifies, fails, repairs)
-		}
-		return
 	}
-	t.Skip("no injection point produced an in-run repair for this seed sweep")
 }
 
-// TestVerifierStatsCarryAcrossRepair checks that a run surviving an
-// engine swap still reports sane totals: the counters must cover both
-// engines (at least as much work as the gate count implies) and not
-// underflow into absurd values.
-func TestVerifierStatsCarryAcrossRepair(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
-	rng := rand.New(rand.NewSource(4242))
-	for after := uint64(5); after < 150; after += 11 {
-		c := verify.RandomCircuit(rng, 4, 40)
-		eng := dd.New()
-		if !eng.InjectBitFlipAfter(after, dd.FaultWeightFlip) {
-			t.Skip("fault injection did not arm (chaos disabled)")
-		}
-		res, err := Run(c, Options{Engine: eng, VerifyEvery: 1})
-		if err != nil || res.Repairs == 0 {
-			continue
-		}
-		if res.Stats.FaultsInjected != 1 {
-			t.Fatalf("faults injected %d, want 1", res.Stats.FaultsInjected)
-		}
-		if res.Stats.NodesCreated == 0 || res.Stats.NodesCreated > 1<<40 {
-			t.Fatalf("implausible NodesCreated %d after engine swap (counter underflow?)", res.Stats.NodesCreated)
-		}
-		if res.Stats.MatVecMuls == 0 || res.Stats.MatVecMuls > 1<<30 {
-			t.Fatalf("implausible MatVecMuls %d after engine swap", res.Stats.MatVecMuls)
-		}
-		if res.Engine == eng {
-			t.Fatal("result still points at the retired engine")
-		}
+// corruptMatrix damages the root node of a matrix DD in place: a
+// swap of its diagonal quadrants, or a mid-mantissa bit flip in its
+// first non-zero weight.
+func corruptMatrix(m dd.MEdge, swap bool) {
+	n := m.N
+	if swap && n.E[0] != n.E[3] {
+		n.E[0], n.E[3] = n.E[3], n.E[0]
 		return
 	}
-	t.Skip("no injection point produced an in-run repair for this seed sweep")
+	for i, e := range n.E {
+		if e.W != 0 {
+			n.E[i].W = flipWeight(e.W)
+			return
+		}
+	}
+}
+
+// TestCorruptionEmitsEvents checks the observability contract: a run
+// ended by corruption emits a failing verify event, counts it in
+// dd_verify_failures_total, and emits no other kind of recovery event.
+func TestCorruptionEmitsEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	c := verify.RandomCircuit(rng, 4, 30)
+	reg := obs.NewRegistry()
+	ring := obs.NewRing(2048)
+	_, err := Run(c, Options{
+		VerifyEvery:     1,
+		CheckpointEvery: 10,
+		EventSink:       ring,
+		Metrics:         reg,
+		OnCheckpoint: func(ck *Checkpoint) error {
+			corruptState(ck.State, false)
+			return nil
+		},
+	})
+	if !errors.Is(err, ErrCorruption) {
+		t.Fatalf("err = %v, want ErrCorruption", err)
+	}
+	fails := 0
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case obs.KindVerify:
+			if e.Check != "" {
+				fails++
+			}
+		case obs.KindRunStart, obs.KindStep, obs.KindCheckpoint, obs.KindAbort, obs.KindRunEnd:
+		default:
+			t.Errorf("unexpected %v event: %+v", e.Kind, e)
+		}
+	}
+	if fails != 1 {
+		t.Fatalf("%d failing verify events, want 1", fails)
+	}
+	failures := -1.0
+	for _, m := range reg.Snapshot() {
+		if m.Name == "dd_verify_failures_total" {
+			failures = m.Value
+		}
+	}
+	if failures != 1 {
+		t.Fatalf("dd_verify_failures_total = %v, want 1", failures)
+	}
 }
 
 // TestLockstepOracle unit-tests the shared oracle: advance, no-rewind,

@@ -38,8 +38,8 @@ import (
 
 // IntegrityError reports a violated DD invariant. It is the typed
 // currency of the verification layer: Engine.Audit, the reachable-state
-// audits and the online monitors all return it, and core's repair path
-// classifies on it.
+// audits and the online monitors all return it, and core's verifier
+// ends the run on it.
 type IntegrityError struct {
 	// Check names the violated invariant: "terminal", "id", "level",
 	// "hash", "unique-table", "zero-edge", "weight-finite",
@@ -461,56 +461,4 @@ func (e *Engine) CheckUnitary(m MEdge, tol float64) error {
 			Detail: fmt.Sprintf("tr(M†M) = %v over %d qubits, want %g", tr, m.Qubits(), dim)}
 	}
 	return nil
-}
-
-// CopyV rebuilds the diagram under v — owned by any engine — inside e,
-// re-canonicalising every node and weight through e's unique tables and
-// value table. This is the repair primitive: rebuilding a state into a
-// fresh engine discards whatever table damage the old engine carried
-// while preserving the represented vector exactly.
-func (e *Engine) CopyV(v VEdge) VEdge {
-	memo := make(map[*VNode]VEdge)
-	var rebuild func(n *VNode) VEdge
-	rebuild = func(n *VNode) VEdge {
-		if n == vTerminal {
-			return VOne()
-		}
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		e0 := e.scaleV(rebuild(n.E[0].N), n.E[0].W)
-		e1 := e.scaleV(rebuild(n.E[1].N), n.E[1].W)
-		r := e.makeVNode(n.V, e0, e1)
-		memo[n] = r
-		return r
-	}
-	if v.N == nil || v.W == cnum.Zero {
-		return VZero()
-	}
-	return e.canonV(e.scaleV(rebuild(v.N), v.W))
-}
-
-// CopyM rebuilds a matrix diagram inside e; see CopyV.
-func (e *Engine) CopyM(m MEdge) MEdge {
-	memo := make(map[*MNode]MEdge)
-	var rebuild func(n *MNode) MEdge
-	rebuild = func(n *MNode) MEdge {
-		if n == mTerminal {
-			return MOne()
-		}
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		var es [4]MEdge
-		for i := range n.E {
-			es[i] = e.scaleM(rebuild(n.E[i].N), n.E[i].W)
-		}
-		r := e.makeMNode(n.V, es)
-		memo[n] = r
-		return r
-	}
-	if m.N == nil || m.W == cnum.Zero {
-		return MZero()
-	}
-	return e.canonM(e.scaleM(rebuild(m.N), m.W))
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/cnum"
@@ -196,72 +195,31 @@ func TestCheckUnitary(t *testing.T) {
 	}
 }
 
-// TestCopyVCrossEngine rebuilds a state into a fresh engine and checks
-// exact amplitude agreement plus a clean audit of the copy.
-func TestCopyVCrossEngine(t *testing.T) {
-	src := New()
-	v := ghzState(src, 5)
-	v = src.MulVec(src.GateDD(gT, 5, 2, nil), v)
-	want := v.ToVector()
-
-	dst := New()
-	cp := dst.CopyV(v)
-	got := cp.ToVector()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("amplitude %d: copy %v, original %v", i, got[i], want[i])
-		}
-	}
-	if err := dst.Audit(); err != nil {
-		t.Fatalf("destination engine audit: %v", err)
-	}
-	if err := dst.AuditV(cp); err != nil {
-		t.Fatalf("copied state audit: %v", err)
-	}
-	if n := dst.SizeV(cp); n != src.SizeV(v) {
-		t.Fatalf("copy has %d nodes, original %d", n, src.SizeV(v))
-	}
-}
-
-// TestCopyVZero covers the degenerate inputs.
-func TestCopyVZero(t *testing.T) {
-	dst := New()
-	if cp := dst.CopyV(VZero()); !cp.IsZero() {
-		t.Fatalf("copy of zero edge: %v", cp)
-	}
-}
-
-// TestBitFlipInjectionDetected arms each fault kind at several interning
-// counts, runs a small circuit, and checks that every injected
-// corruption is caught — by the audit battery, or by a kernel panic on
-// the corrupted structure (which the core runner routes into its repair
-// path the same way). Requires chaos builds.
+// TestBitFlipInjectionDetected corrupts the n-th interned node of a
+// small circuit for several n and both corruption kinds, keeps
+// computing on the damaged engine, and checks that every corruption is
+// caught — by the audit battery, or by a kernel panic on the corrupted
+// structure (which the core runner reports as FailurePanic).
 func TestBitFlipInjectionDetected(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
-	for _, kind := range []FaultKind{FaultWeightFlip, FaultChildFlip} {
-		for _, after := range []uint64{1, 3, 7, 12} {
+	for _, kind := range []corruption{weightFlip, childSwap} {
+		for _, id := range []uint32{1, 3, 7, 12} {
 			e := New()
-			if !e.InjectBitFlipAfter(after, kind) {
-				t.Skip("fault injection did not arm (chaos disabled)")
+			v := ghzState(e, 4)
+			if !e.corruptNode(id, kind) {
+				t.Fatalf("%v: no live node %d to corrupt", kind, id)
 			}
-			var v VEdge
 			panicked := func() (p bool) {
 				defer func() {
 					if recover() != nil {
 						p = true
 					}
 				}()
-				v = ghzState(e, 4)
 				v = e.MulVec(e.GateDD(gT, 4, 1, nil), v)
-				// The countdown may outlast a tiny circuit; extend it.
-				for i := 0; i < 4 && e.Stats().FaultsInjected == 0; i++ {
+				for i := 0; i < 4; i++ {
 					v = e.MulVec(e.GateDD(gH, 4, i, nil), v)
 				}
 				return false
 			}()
-			if e.Stats().FaultsInjected == 0 {
-				t.Fatalf("%v after %d: fault never fired", kind, after)
-			}
 			detected := panicked
 			if !detected {
 				if err := e.Audit(); err != nil {
@@ -273,33 +231,9 @@ func TestBitFlipInjectionDetected(t *testing.T) {
 				}
 			}
 			if !detected {
-				t.Errorf("%v after %d internings: corruption undetected by the audit battery", kind, after)
+				t.Errorf("%v of node %d: corruption undetected by the audit battery", kind, id)
 			}
 		}
-	}
-}
-
-// TestInjectBitFlipDisabled checks the arming gate: without DD_CHAOS the
-// hook must refuse (in default builds).
-func TestInjectBitFlipDisabled(t *testing.T) {
-	t.Setenv("DD_CHAOS", "")
-	e := New()
-	if e.InjectBitFlipAfter(1, FaultWeightFlip) {
-		t.Skip("built with ddchaos: injection is always armed")
-	}
-	_ = ghzState(e, 3)
-	if e.Stats().FaultsInjected != 0 {
-		t.Fatal("fault fired while disarmed")
-	}
-}
-
-// TestFaultKindString pins the diagnostic names.
-func TestFaultKindString(t *testing.T) {
-	if FaultWeightFlip.String() != "weight-flip" || FaultChildFlip.String() != "child-flip" {
-		t.Fatalf("unexpected names %q %q", FaultWeightFlip, FaultChildFlip)
-	}
-	if !strings.Contains(FaultKind(9).String(), "?") {
-		t.Fatalf("unknown kind renders as %q", FaultKind(9))
 	}
 }
 
@@ -409,12 +343,6 @@ var rootCases = map[string]rootCase{
 	},
 	"ConjTranspose": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
 		return nil, []MEdge{e.ConjTranspose(e.ScaleM(o.m, complex(0.2, -1.1)))}
-	},
-	"CopyV": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
-		return []VEdge{e.CopyV(o.v), e.CopyV(New().FromVector(o.w.ToVector()))}, nil
-	},
-	"CopyM": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
-		return nil, []MEdge{e.CopyM(o.m)}
 	},
 	"Normalize": func(e *Engine, o *rootOperands) ([]VEdge, []MEdge) {
 		return []VEdge{e.Normalize(e.Add(o.v, o.w))}, nil

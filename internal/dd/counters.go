@@ -16,8 +16,8 @@ type Counter struct {
 	// column, and for step rows the Prometheus family dd_<Name>_total.
 	Name string
 	Help string
-	// Max marks a high-water mark: Sub keeps the later value and Add
-	// takes the larger one. Every other row is a summed counter.
+	// Max marks a high-water mark: Sub keeps the later value. Every
+	// other row is a summed counter.
 	Max bool
 
 	get func(*Stats) uint64
@@ -80,7 +80,6 @@ var Counters = slices.Concat(StepCounters, []Counter{
 	row("gc_pause_ns", "Time spent inside GarbageCollect, in nanoseconds.", func(s *Stats) *time.Duration { return &s.GCPause }),
 	peak("gc_max_pause_ns", "Longest single collection, in nanoseconds.", func(s *Stats) *time.Duration { return &s.GCMaxPause }),
 	row("aborts", "Cooperative aborts raised by the abort layer.", func(s *Stats) *uint64 { return &s.Aborts }),
-	row("faults_injected", "Bit-flip faults fired by the chaos layer.", func(s *Stats) *uint64 { return &s.FaultsInjected }),
 	row("deadline_clock_reads", "Clock reads by the deadline probe.", func(s *Stats) *uint64 { return &s.DeadlineClockReads }),
 	row("pressure_probes_low", "Abort probes taken in the low soft-budget band.", func(s *Stats) *uint64 { return &s.PressureProbesLow }),
 	row("pressure_probes_high", "Abort probes taken in the high soft-budget band.", func(s *Stats) *uint64 { return &s.PressureProbesHigh }),
@@ -99,20 +98,6 @@ func (s Stats) Sub(base Stats) Stats {
 	for _, c := range Counters {
 		if !c.Max {
 			c.set(&s, c.get(&s)-c.get(&base))
-		}
-	}
-	return s
-}
-
-// Add accumulates two deltas, or a snapshot and a delta: summed rows
-// add, Max rows take the larger value.
-func (s Stats) Add(o Stats) Stats {
-	for _, c := range Counters {
-		a, b := c.get(&s), c.get(&o)
-		if c.Max {
-			c.set(&s, max(a, b))
-		} else {
-			c.set(&s, a+b)
 		}
 	}
 	return s

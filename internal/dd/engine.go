@@ -94,13 +94,6 @@ type Engine struct {
 	lastGCLive  int
 	lastGCFreed int
 
-	// Bit-flip fault injection (see faults.go). flipCountdown counts
-	// down on node internings; at zero-crossing the fresh node is
-	// corrupted in place. Zero means disarmed — the hot-path guard is a
-	// single branch, mirroring the abort layer's armed flag.
-	flipCountdown uint64
-	flipKind      FaultKind
-
 	// epoch stamps node marks during SizeV/SizeM traversals and GC
 	// marking, so repeated traversals need no per-call visited set.
 	epoch uint32
@@ -224,9 +217,6 @@ type Stats struct {
 	// Aborts counts cooperative aborts raised by the abort layer
 	// (deadline, cancellation, budget or fault injection; see abort.go).
 	Aborts uint64
-	// FaultsInjected counts bit-flip faults fired by the chaos layer
-	// (see faults.go); always zero outside chaos builds.
-	FaultsInjected uint64
 	// DeadlineClockReads counts actual clock reads by the deadline
 	// probe — far fewer than probes/256 thanks to the skip cache in
 	// abortCheck; tests pin the ratio.
@@ -474,11 +464,6 @@ func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
 	e.nextID++
 	e.stats.NodesCreated++
 	e.vUnique.insertAt(slot, n)
-	if e.flipCountdown != 0 {
-		if e.flipCountdown--; e.flipCountdown == 0 {
-			e.flipV(n)
-		}
-	}
 	if e.vUnique.live > e.stats.PeakVNodes {
 		e.stats.PeakVNodes = e.vUnique.live
 	}
@@ -534,11 +519,6 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 	e.nextID++
 	e.stats.NodesCreated++
 	e.mUnique.insertAt(slot, n)
-	if e.flipCountdown != 0 {
-		if e.flipCountdown--; e.flipCountdown == 0 {
-			e.flipM(n)
-		}
-	}
 	if e.mUnique.live > e.stats.PeakMNodes {
 		e.stats.PeakMNodes = e.mUnique.live
 	}

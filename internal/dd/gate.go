@@ -115,9 +115,9 @@ func (k *gateKey) hash() uint32 {
 // re-finds the same nodes, which no one frees before the next GC — and
 // GC, like an abort, bumps cacheGen.
 //
-// Under fault injection, a bit flip in a memoised node is handed out
-// again until the memo expires, where a rebuild would re-intern a clean
-// node; Audit still sees it (DESIGN.md §10).
+// A memoised node corrupted in place is handed out again until the
+// memo expires, where a rebuild would re-intern a clean node; Audit
+// still sees it (DESIGN.md §10).
 type gateSlot struct {
 	key gateKey
 	r   MEdge

@@ -288,20 +288,15 @@ func TestGateMemoValidatesOnHit(t *testing.T) {
 	}()
 }
 
-// TestGateMemoBitFlipReusedUntilGC documents the chaos exception: a bit
-// flip in a memoised gate DD is handed out again until the memo
-// expires, where a rebuild would have re-interned a clean node. The
-// flip stays visible to Audit throughout, and a collection drops it.
+// TestGateMemoBitFlipReusedUntilGC documents the memo's corruption
+// exception: a memoised gate DD corrupted in place is handed out again
+// until the memo expires, where a rebuild would have re-interned a
+// clean node. The damage stays visible to Audit throughout, and a
+// collection drops it.
 func TestGateMemoBitFlipReusedUntilGC(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
 	e := New()
-	if !e.InjectBitFlipAfter(1, FaultWeightFlip) {
-		t.Skip("fault injection did not arm (chaos disabled)")
-	}
 	g := e.GateDD(gH, 6, 2, []Control{Pos(4)})
-	if e.stats.FaultsInjected != 1 {
-		t.Fatalf("faults injected %d, want 1", e.stats.FaultsInjected)
-	}
+	corruptM(g.N, weightFlip)
 	if err := e.Audit(); err == nil {
 		t.Fatal("audit missed the flipped node")
 	}

@@ -47,11 +47,6 @@ const (
 	// unitarity, dense-oracle comparison); Event.Check names the failing
 	// check, empty when the pass was clean.
 	KindVerify
-	// KindRepair marks a corruption recovery: the state was rebuilt into
-	// a fresh engine and the in-flight gates replayed. Event.Combined is
-	// the number of gates replayed; Event.Check names the check that
-	// triggered the repair.
-	KindRepair
 	// KindPlanner is the strategy planner's (core.Planner) one decision
 	// of a run, emitted after run_start: Event.Decision names the fixed
 	// flush rule it picked ("k-operations(k=4)", "max-size(s=128)" or
@@ -82,7 +77,6 @@ var kindNames = [...]string{
 	KindAbort:      "abort",
 	KindRunEnd:     "run_end",
 	KindVerify:     "verify",
-	KindRepair:     "repair",
 	KindPlanner:    "planner",
 	KindReorder:    "reorder",
 	KindPressure:   "pressure",
@@ -138,8 +132,7 @@ type Event struct {
 	// run (KindRunEnd), in nanoseconds.
 	WallNS int64 `json:"wall_ns,omitempty"`
 	// Combined is the number of gates folded into the applied
-	// operation matrix (KindStep), or the number of gates a repair
-	// replayed (KindRepair).
+	// operation matrix (KindStep).
 	Combined int `json:"combined,omitempty"`
 	// OpNodes and StateNodes are the DD sizes of the applied operation
 	// matrix and of the state after the step.
@@ -168,9 +161,9 @@ type Event struct {
 	// KindRunEnd of an aborted run; empty on clean runs.
 	Abort string `json:"abort,omitempty"`
 
-	// Check names the integrity check involved in a KindVerify or
-	// KindRepair event ("audit", "norm", "unitarity", "oracle"); empty
-	// on a clean verification pass.
+	// Check names the integrity check a KindVerify event failed
+	// ("audit", "norm", "unitarity", "oracle"); empty on a clean
+	// verification pass. A failed pass ends the run as "corruption".
 	Check string `json:"check,omitempty"`
 
 	// Decision names the flush rule a KindPlanner event reports.

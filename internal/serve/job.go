@@ -302,7 +302,6 @@ type JobSummary struct {
 	DurationMS  int64   `json:"duration_ms"`
 	MatVecSteps int     `json:"matvec_steps"`
 	MatMatSteps int     `json:"matmat_steps"`
-	Repairs     int     `json:"repairs,omitempty"`
 	StateNodes  int     `json:"state_nodes"`
 	Norm        float64 `json:"norm"`
 	// Degradations counts the degradation ladder's actions during the

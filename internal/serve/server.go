@@ -759,7 +759,6 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 		NextGate:    res.GatesApplied,
 		Seed:        spec.Seed,
 		Fallbacks:   res.Replays(),
-		Repairs:     res.Repairs,
 		State:       res.State,
 	}
 	if err := core.SaveCheckpoint(s.jn.resultPath(id), ck); err != nil {
@@ -769,7 +768,6 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 		DurationMS:   res.Duration.Milliseconds(),
 		MatVecSteps:  res.MatVecSteps,
 		MatMatSteps:  res.MatMatSteps,
-		Repairs:      res.Repairs,
 		StateNodes:   res.Engine.SizeV(res.State),
 		Norm:         res.State.Norm(),
 		Degradations: len(res.Degradations),

@@ -133,9 +133,8 @@ func NewLockstep(c *circuit.Circuit, startGate int, initial []complex128) (*Lock
 }
 
 // Advance applies gates until the oracle reflects the first `to` gates
-// of the circuit. Calls with to ≤ Applied() are no-ops — the oracle
-// never rewinds, which lets the runner re-verify a replayed prefix
-// after a repair without re-simulating.
+// of the circuit. Calls with to ≤ Applied() are no-ops: the oracle
+// never rewinds.
 func (l *Lockstep) Advance(to int) error {
 	if to > len(l.c.Gates) {
 		return fmt.Errorf("verify: advance to gate %d beyond circuit end %d", to, len(l.c.Gates))
