@@ -72,6 +72,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -548,7 +549,8 @@ func printTopAmplitudes(res *core.Result, n, top int) {
 }
 
 // printEngineStats reports every row of the engine's counter table,
-// the per-cache hit rates, and memory-layer occupancy.
+// the per-cache hit rates, the compute tables' slot counts, and
+// memory-layer occupancy.
 func printEngineStats(e *dd.Engine) {
 	s := e.Stats()
 	m := e.MemStats()
@@ -566,6 +568,14 @@ func printEngineStats(e *dd.Engine) {
 	}
 	fmt.Printf("  cache hit rates:  add-v %s, add-m %s, mul-mv %s, mul-mm %s\n",
 		rate(s.AddV), rate(s.AddM), rate(s.MulMV), rate(s.MulMM))
+	slots := func(n int) string {
+		if n == 0 {
+			return "-"
+		}
+		return strconv.Itoa(n)
+	}
+	fmt.Printf("  compute tables:   add-v %s, add-m %s, mul-mv %s, mul-mm %s\n",
+		slots(m.AddVSlots), slots(m.AddMSlots), slots(m.MulMVSlots), slots(m.MulMMSlots))
 	fmt.Printf("  unique tables:    v %d/%d slots (%d tombstones), m %d/%d slots (%d tombstones)\n",
 		m.VLive, m.VCapacity, m.VTombstones, m.MLive, m.MCapacity, m.MTombstones)
 	fmt.Printf("  arenas:           v %d chunks (%d free), m %d chunks (%d free)\n",

@@ -107,7 +107,7 @@ dd_matvec_muls_total 62
 dd_matmat_muls_total 186
 # HELP dd_mul_recursions_total Multiplication-kernel recursion steps (mat-vec and mat-mat).
 # TYPE dd_mul_recursions_total counter
-dd_mul_recursions_total 1707
+dd_mul_recursions_total 1713
 # HELP dd_identity_skips_mv_total Identity short-circuits taken in matrix-vector multiplications.
 # TYPE dd_identity_skips_mv_total counter
 dd_identity_skips_mv_total 202
@@ -116,10 +116,10 @@ dd_identity_skips_mv_total 202
 dd_identity_skips_mm_total 63
 # HELP dd_cache_lookups_total Compute-cache lookups across all four caches.
 # TYPE dd_cache_lookups_total counter
-dd_cache_lookups_total 2645
+dd_cache_lookups_total 2651
 # HELP dd_cache_hits_total Compute-cache hits across all four caches.
 # TYPE dd_cache_hits_total counter
-dd_cache_hits_total 787
+dd_cache_hits_total 791
 # HELP dd_cache_invalidations_total Compute-cache invalidations (GC, aborts, explicit clears).
 # TYPE dd_cache_invalidations_total counter
 dd_cache_invalidations_total 0

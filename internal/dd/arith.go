@@ -51,19 +51,28 @@ func (e *Engine) addV(a, b VEdge) VEdge {
 		return a
 	}
 	x, y := a.N, b.N
-	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
+	h := addHash(x.id, y.id, q)
 	e.stats.AddV.Lookups++
-	tab := lazy(&e.addVTab, cacheSize)
-	if s := &tab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
-		e.stats.AddV.Hits++
-		return e.scaleV(s.r, a.W)
+	if s := e.addVTab.at(h); s.gen == e.cacheGen {
+		if s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
+			e.stats.AddV.Hits++
+			return e.scaleV(s.r, a.W)
+		}
+		if s.ev == h {
+			e.addVTab.conflict(e.cacheGen)
+		}
 	}
 	var children [2]VEdge
 	for i := 0; i < 2; i++ {
 		children[i] = e.addV(x.E[i], VEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
 	r := e.makeVNode(x.V, children[0], children[1])
-	tab[idx] = addVSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	s := e.addVTab.at(h)
+	ev := ^h
+	if s.gen == e.cacheGen {
+		ev = s.hash()
+	}
+	*s = addVSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen, ev: ev}
 	return e.scaleV(r, a.W)
 }
 
@@ -106,19 +115,28 @@ func (e *Engine) addM(a, b MEdge) MEdge {
 		return a
 	}
 	x, y := a.N, b.N
-	idx := mixKey(mix(x.id, y.id), cnum.KeyOf(q)) & cacheMask
+	h := addHash(x.id, y.id, q)
 	e.stats.AddM.Lookups++
-	tab := lazy(&e.addMTab, cacheSize)
-	if s := &tab[idx]; s.gen == e.cacheGen && s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
-		e.stats.AddM.Hits++
-		return e.scaleM(s.r, a.W)
+	if s := e.addMTab.at(h); s.gen == e.cacheGen {
+		if s.x == x.id && s.y == y.id && cnum.Eq(s.q, q) {
+			e.stats.AddM.Hits++
+			return e.scaleM(s.r, a.W)
+		}
+		if s.ev == h {
+			e.addMTab.conflict(e.cacheGen)
+		}
 	}
 	var children [4]MEdge
 	for i := 0; i < 4; i++ {
 		children[i] = e.addM(x.E[i], MEdge{W: q * y.E[i].W, N: y.E[i].N})
 	}
 	r := e.makeMNode(x.V, children)
-	tab[idx] = addMSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen}
+	s := e.addMTab.at(h)
+	ev := ^h
+	if s.gen == e.cacheGen {
+		ev = s.hash()
+	}
+	*s = addMSlot{x: x.id, y: y.id, q: q, r: r, gen: e.cacheGen, ev: ev}
 	return e.scaleM(r, a.W)
 }
 
@@ -176,12 +194,16 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 		e.stats.IdentitySkipLevels += uint64(m.N.V) + 1
 		return e.scaleV(v, m.W)
 	}
-	idx := mix(m.N.id, v.N.id) & cacheMask
+	h := mix(m.N.id, v.N.id)
 	e.stats.MulMV.Lookups++
-	tab := lazy(&e.mulMVTab, cacheSize)
-	if s := &tab[idx]; s.gen == e.cacheGen && s.m == m.N.id && s.v == v.N.id {
-		e.stats.MulMV.Hits++
-		return e.scaleV(s.r, w)
+	if s := e.mulMVTab.at(h); s.gen == e.cacheGen {
+		if s.m == m.N.id && s.v == v.N.id {
+			e.stats.MulMV.Hits++
+			return e.scaleV(s.r, w)
+		}
+		if s.ev == h {
+			e.mulMVTab.conflict(e.cacheGen)
+		}
 	}
 	var children [2]VEdge
 	for row := 0; row < 2; row++ {
@@ -200,7 +222,12 @@ func (e *Engine) mulVec(m MEdge, v VEdge) VEdge {
 		children[row] = sum
 	}
 	r := e.makeVNode(m.N.V, children[0], children[1])
-	tab[idx] = mulMVSlot{m: m.N.id, v: v.N.id, r: r, gen: e.cacheGen}
+	s := e.mulMVTab.at(h)
+	ev := ^h
+	if s.gen == e.cacheGen {
+		ev = s.hash()
+	}
+	*s = mulMVSlot{m: m.N.id, v: v.N.id, r: r, gen: e.cacheGen, ev: ev}
 	return e.scaleV(r, w)
 }
 
@@ -244,12 +271,16 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 			return e.scaleM(a, b.W)
 		}
 	}
-	idx := mix(a.N.id, b.N.id) & cacheMask
+	h := mix(a.N.id, b.N.id)
 	e.stats.MulMM.Lookups++
-	tab := lazy(&e.mulMMTab, cacheSize)
-	if s := &tab[idx]; s.gen == e.cacheGen && s.a == a.N.id && s.b == b.N.id {
-		e.stats.MulMM.Hits++
-		return e.scaleM(s.r, w)
+	if s := e.mulMMTab.at(h); s.gen == e.cacheGen {
+		if s.a == a.N.id && s.b == b.N.id {
+			e.stats.MulMM.Hits++
+			return e.scaleM(s.r, w)
+		}
+		if s.ev == h {
+			e.mulMMTab.conflict(e.cacheGen)
+		}
 	}
 	var children [4]MEdge
 	for row := 0; row < 2; row++ {
@@ -268,7 +299,12 @@ func (e *Engine) mulMat(a, b MEdge) MEdge {
 		}
 	}
 	r := e.makeMNode(a.N.V, children)
-	tab[idx] = mulMMSlot{a: a.N.id, b: b.N.id, r: r, gen: e.cacheGen}
+	s := e.mulMMTab.at(h)
+	ev := ^h
+	if s.gen == e.cacheGen {
+		ev = s.hash()
+	}
+	*s = mulMMSlot{a: a.N.id, b: b.N.id, r: r, gen: e.cacheGen, ev: ev}
 	return e.scaleM(r, w)
 }
 

@@ -35,7 +35,8 @@ func counters(e *dd.Engine) dd.Stats {
 // history, a supremacy 3×3 run and a collection of everything it built,
 // and differ only in whether that collection wraps; the second run must
 // then give the same amplitude bits and the same counters on both, and
-// the amplitude bits of a fresh engine. (A fresh engine's counters
+// the amplitude bits of a fresh engine, with tables back at the floor.
+// (A fresh engine's counters
 // differ: the kept weight table and the later node ids change which
 // weights are new and which cache slots collide.)
 func TestCacheGenerationWrap(t *testing.T) {
@@ -63,7 +64,11 @@ func TestCacheGenerationWrap(t *testing.T) {
 	if ref := runGates(dd.New(), c); !sameAmps(got, ref) {
 		t.Fatal("amplitudes after the wrap differ from a fresh engine's")
 	}
-
+	// The dropped tables restart at the floor, the size the plain
+	// engine's kept ones never grew past on this circuit.
+	if m, w := wrapped.MemStats(), plain.MemStats(); m != w || m.AddVSlots != 1<<13 || m.MulMVSlots != 1<<13 {
+		t.Fatalf("after the wrap the engine's tables are\n got %+v\nwant %+v, add-v and mul-mv at 2^13", m, w)
+	}
 }
 
 func sameAmps(a, b []complex128) bool {

@@ -2,6 +2,7 @@ package dd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -16,9 +17,10 @@ import (
 // Memory layout (see DESIGN.md, "Engine memory layout"): nodes are
 // allocated from chunked arenas and indexed by open-addressing unique
 // tables keyed on the node fields themselves; compute caches are
-// direct-mapped arrays, allocated on their first probe, whose entries
-// carry a generation stamp, so post-GC invalidation is a single counter
-// increment instead of a table wipe.
+// direct-mapped arrays, allocated small on their first probe and
+// doubled on conflict misses, whose entries carry a generation stamp,
+// so post-GC invalidation is a single counter increment instead of a
+// table wipe.
 type Engine struct {
 	weights cnum.Table
 
@@ -31,10 +33,10 @@ type Engine struct {
 	// Identity diagrams by span: identity[k] covers variables 0..k-1.
 	identity []MEdge
 
-	addVTab  []addVSlot
-	addMTab  []addMSlot
-	mulMVTab []mulMVSlot
-	mulMMTab []mulMMSlot
+	addVTab  cacheTable[addVSlot]
+	addMTab  cacheTable[addMSlot]
+	mulMVTab cacheTable[mulMVSlot]
+	mulMMTab cacheTable[mulMMSlot]
 	// Scratch memo tables for the query operations (inner products,
 	// traces, projections, conjugate transposes); same generation scheme
 	// as the caches.
@@ -249,20 +251,28 @@ type MemStats struct {
 	VTombstones, MTombstones int // deleted slots awaiting compaction
 	VFree, MFree             int // recycled nodes on the arena free lists
 	VChunks, MChunks         int // arena chunks allocated
+
+	// Current slot counts of the four compute tables; 0 for a table
+	// the engine has never probed.
+	AddVSlots, AddMSlots, MulMVSlots, MulMMSlots int
 }
 
-// cache sizing: direct-mapped tables with overwrite-on-collision, the
-// scheme used by the JKU package. Powers of two for cheap masking.
-// Each table is allocated at its full size on its first probe (see
-// lazy). An add cache takes 3.5 MiB, a mul cache 2.5 MiB, the four
-// query memos 2.25 MiB together and the gate memo 128 KiB; an engine
-// that only applies gates to a state allocates add-v, mul-mv and the
-// gate memo, 6.1 MiB of the 14.4 MiB.
-const (
-	cacheBits = 16
-	cacheSize = 1 << cacheBits
-	cacheMask = cacheSize - 1
+// Compute-cache geometry: direct-mapped tables with
+// overwrite-on-collision, the scheme used by the JKU package, with
+// power-of-two sizes for cheap masking. Each of the four arithmetic
+// tables starts at cacheFloor slots on its first probe and doubles, up
+// to cacheCap, on conflict misses (see cacheTable.conflict). At the
+// floor an add table takes 448 KiB and a mul table 320 KiB; at the cap
+// 56 MiB and 40 MiB. The four query memos take 2.25 MiB together and
+// the gate memo 128 KiB, each allocated at its full size on its first
+// probe (see lazy). The bounds are variables only so that tests can
+// pin them.
+var (
+	cacheFloor = 1 << 13
+	cacheCap   = 1 << 20
+)
 
+const (
 	// The query scratch tables (inner product, trace, projection) see
 	// far fewer distinct keys per operation than the arithmetic caches.
 	scratchBits = 14
@@ -270,34 +280,98 @@ const (
 	scratchMask = scratchSize - 1
 )
 
+// cacheEntry is a compute-cache slot type: stamp returns its
+// generation stamp and hash the full hash of its key, which a doubling
+// re-masks.
+type cacheEntry interface {
+	stamp() uint32
+	hash() uint32
+}
+
+// cacheTable is one arithmetic compute cache. Each slot also records
+// in ev the full hash of the entry its last store evicted (the
+// complement of its own key's hash when it evicted nothing), so a miss
+// can tell a conflict — a key this slot held earlier in the generation,
+// which a table twice the size would probably still hold — from a cold
+// miss.
+type cacheTable[S cacheEntry] struct {
+	slots     []S
+	conflicts int // conflict misses since the last resize
+}
+
+// at returns the slot for hash h, allocating the table at cacheFloor
+// slots on its first probe. A nil table is all misses, so an engine
+// pays only for the tables its operations probe. A probe site calls at
+// again before its store, because the recursion between its lookup
+// and its store may have grown the table.
+func (t *cacheTable[S]) at(h uint32) *S {
+	if t.slots == nil {
+		t.slots = make([]S, cacheFloor)
+	}
+	return &t.slots[h&uint32(len(t.slots)-1)]
+}
+
+// conflict counts one conflict miss. Once they exceed an eighth of the
+// slots since the last resize, the table doubles (up to cacheCap) and
+// every entry of generation gen moves to its new index; two entries
+// never collide there, their old indices being the low bits of the new.
+func (t *cacheTable[S]) conflict(gen uint32) {
+	t.conflicts++
+	if t.conflicts <= len(t.slots)/8 || len(t.slots) >= cacheCap {
+		return
+	}
+	old := t.slots
+	t.slots = make([]S, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s.stamp() == gen {
+			t.slots[s.hash()&mask] = s
+		}
+	}
+	t.conflicts = 0
+}
+
 // addVSlot and addMSlot memoise x + q·y. The index hashes the node ids
 // with q's quantisation cell, and a hit needs the same ids and a stored
 // ratio within cnum.Tol of q (see addV); q itself stays raw.
 type addVSlot struct {
-	x, y uint32
-	q    complex128
-	r    VEdge
-	gen  uint32
+	x, y    uint32
+	q       complex128
+	r       VEdge
+	gen, ev uint32
 }
 
 type addMSlot struct {
-	x, y uint32
-	q    complex128
-	r    MEdge
-	gen  uint32
+	x, y    uint32
+	q       complex128
+	r       MEdge
+	gen, ev uint32
 }
 
 type mulMVSlot struct {
-	m, v uint32
-	r    VEdge
-	gen  uint32
+	m, v    uint32
+	r       VEdge
+	gen, ev uint32
 }
 
 type mulMMSlot struct {
-	a, b uint32
-	r    MEdge
-	gen  uint32
+	a, b    uint32
+	r       MEdge
+	gen, ev uint32
 }
+
+// addHash is the add caches' key hash: the operand node ids mixed with
+// the quantisation cell of the ratio q.
+func addHash(x, y uint32, q complex128) uint32 { return mixKey(mix(x, y), cnum.KeyOf(q)) }
+
+func (s addVSlot) stamp() uint32  { return s.gen }
+func (s addVSlot) hash() uint32   { return addHash(s.x, s.y, s.q) }
+func (s addMSlot) stamp() uint32  { return s.gen }
+func (s addMSlot) hash() uint32   { return addHash(s.x, s.y, s.q) }
+func (s mulMVSlot) stamp() uint32 { return s.gen }
+func (s mulMVSlot) hash() uint32  { return mix(s.m, s.v) }
+func (s mulMMSlot) stamp() uint32 { return s.gen }
+func (s mulMMSlot) hash() uint32  { return mix(s.a, s.b) }
 
 type ipSlot struct {
 	aN, bN uint32
@@ -334,10 +408,9 @@ func New() *Engine {
 	}
 }
 
-// lazy returns the table *t, allocating it with n zero slots on its
-// first probe. A nil table is all misses, so an engine pays only for
-// the tables its operations probe. Each probe site fetches its table
-// once and uses that slice for both its lookup and its store.
+// lazy returns the fixed-size memo *t, allocating it with n zero slots
+// on its first probe (see cacheTable.at). Each probe site fetches its
+// memo once and uses that slice for both its lookup and its store.
 func lazy[S any](t *[]S, n int) []S {
 	if *t == nil {
 		*t = make([]S, n)
@@ -381,6 +454,8 @@ func (e *Engine) MemStats() MemStats {
 		VTombstones: e.vUnique.dead, MTombstones: e.mUnique.dead,
 		VFree: e.vArena.nfree, MFree: e.mArena.nfree,
 		VChunks: len(e.vArena.chunks), MChunks: len(e.mArena.chunks),
+		AddVSlots: len(e.addVTab.slots), AddMSlots: len(e.addMTab.slots),
+		MulMVSlots: len(e.mulMVTab.slots), MulMMSlots: len(e.mulMMTab.slots),
 	}
 }
 
@@ -456,12 +531,12 @@ func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
 	}
 	// The miss slot stays valid: nothing below touches the table until
 	// insertAt.
+	id := e.issueID()
 	n := e.vArena.alloc()
 	n.E = [2]VEdge{e0, e1}
 	n.V = v
-	n.id = e.nextID
+	n.id = id
 	n.hash = h
-	e.nextID++
 	e.stats.NodesCreated++
 	e.vUnique.insertAt(slot, n)
 	if e.vUnique.live > e.stats.PeakVNodes {
@@ -501,10 +576,11 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 	if hit != nil {
 		return MEdge{W: top, N: hit}
 	}
+	id := e.issueID()
 	n := e.mArena.alloc()
 	n.E = es
 	n.V = v
-	n.id = e.nextID
+	n.id = id
 	n.hash = h
 	// Normalisation makes the identity shape canonical — zero
 	// off-diagonals, both diagonal weights exactly one, shared diagonal
@@ -516,7 +592,6 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 		es[0].W == cnum.One && es[3].W == cnum.One &&
 		es[0].N == es[3].N &&
 		(es[0].N == mTerminal || es[0].N.isIdentity)
-	e.nextID++
 	e.stats.NodesCreated++
 	e.mUnique.insertAt(slot, n)
 	if e.mUnique.live > e.stats.PeakMNodes {
@@ -526,6 +601,24 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 		e.obs.ObserveNode(true, e.vUnique.live+e.mUnique.live)
 	}
 	return MEdge{W: top, N: n}
+}
+
+// ErrNodeIDsExhausted is the panic value of a node construction on an
+// engine that has issued every node id: 2^32−1 nodes over its lifetime,
+// collected ones included. Ids key the unique tables and the compute
+// caches, so a reissued id would let a stale cache entry answer for a
+// new node. The engine cannot continue; a run resumes on a fresh one.
+var ErrNodeIDsExhausted = errors.New("dd: node ids exhausted: the engine has created 2^32-1 nodes; continue on a fresh engine")
+
+// issueID returns the next node id, or panics with ErrNodeIDsExhausted
+// instead of wrapping to 0, the id reserved for the terminals.
+func (e *Engine) issueID() uint32 {
+	if e.nextID == math.MaxUint32 {
+		panic(ErrNodeIDsExhausted)
+	}
+	id := e.nextID
+	e.nextID++
+	return id
 }
 
 // Identity returns the matrix DD of the identity on qubits 0..n-1.
@@ -647,11 +740,13 @@ func mixKey(h uint32, k cnum.Key) uint32 {
 // clearCaches invalidates all compute caches, cross-call scratch memos
 // and the gate memo in O(1) by advancing the generation stamp (after
 // GC, node identities may be reused so stale entries must not survive).
-// Only on the rare counter wrap-around are the tables dropped; the
-// next probe of each allocates it afresh (see lazy).
+// Collections keep the compute tables' sizes. Only on the rare counter
+// wrap-around are the tables dropped; the next probe of each allocates
+// it afresh, the arithmetic caches at cacheFloor.
 func (e *Engine) clearCaches() {
 	if e.cacheGen == math.MaxUint32 {
-		e.addVTab, e.addMTab, e.mulMVTab, e.mulMMTab = nil, nil, nil, nil
+		e.addVTab, e.addMTab = cacheTable[addVSlot]{}, cacheTable[addMSlot]{}
+		e.mulMVTab, e.mulMMTab = cacheTable[mulMVSlot]{}, cacheTable[mulMMSlot]{}
 		e.ipTab, e.trTab, e.ctTab, e.gateTab = nil, nil, nil, nil
 		e.cacheGen = 0
 	}

@@ -1,6 +1,9 @@
 package dd
 
-import "math"
+import (
+	"math"
+	"testing"
+)
 
 // RefFromPermutation is the earlier FromPermutation, kept as the
 // reference the direct builder is compared against: one single-entry DD
@@ -41,10 +44,10 @@ func (e *Engine) AllocatedTables() []string {
 		name string
 		ok   bool
 	}{
-		{"add-v", e.addVTab != nil},
-		{"add-m", e.addMTab != nil},
-		{"mul-mv", e.mulMVTab != nil},
-		{"mul-mm", e.mulMMTab != nil},
+		{"add-v", e.addVTab.slots != nil},
+		{"add-m", e.addMTab.slots != nil},
+		{"mul-mv", e.mulMVTab.slots != nil},
+		{"mul-mm", e.mulMMTab.slots != nil},
 		{"inner-product", e.ipTab != nil},
 		{"trace", e.trTab != nil},
 		{"projection", e.projTab != nil},
@@ -61,6 +64,17 @@ func (e *Engine) AllocatedTables() []string {
 // SetCacheGen sets the cache generation, so that the next collection
 // takes clearCaches' wrap-around branch when g is math.MaxUint32.
 func (e *Engine) SetCacheGen(g uint32) { e.cacheGen = g }
+
+// SetCacheBounds pins the compute tables' floor and cap (slot counts,
+// powers of two) for the rest of the test; equal values fix the size.
+func SetCacheBounds(t testing.TB, floor, cap int) {
+	oldFloor, oldCap := cacheFloor, cacheCap
+	cacheFloor, cacheCap = floor, cap
+	t.Cleanup(func() { cacheFloor, cacheCap = oldFloor, oldCap })
+}
+
+// SetNextID sets the id the engine's next node receives.
+func (e *Engine) SetNextID(id uint32) { e.nextID = id }
 
 // corruption selects how corruptNode damages a node.
 type corruption uint8
