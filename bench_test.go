@@ -236,21 +236,6 @@ func BenchmarkAblationPlanner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGCThreshold measures the cost of garbage-collecting
-// too eagerly vs. not at all on a long grover run.
-func BenchmarkAblationGCThreshold(b *testing.B) {
-	w := bench.GroverWorkload(14)
-	for _, thr := range []int{5_000, 50_000, 500_000, -1} {
-		name := fmt.Sprintf("threshold=%d", thr)
-		if thr < 0 {
-			name = "threshold=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			runWorkload(b, w, core.Options{Strategy: core.KOperations{K: 4}, GCThreshold: thr})
-		})
-	}
-}
-
 // BenchmarkAblationScheduling measures whether commutation-aware
 // reordering (internal/sched) changes combination effectiveness.
 func BenchmarkAblationScheduling(b *testing.B) {

@@ -11,10 +11,10 @@
 //   - Deterministic result ordering: Results[i] always belongs to
 //     jobs[i], regardless of which worker ran it or when it finished.
 //   - Per-job errors never kill the batch: a failing job records its
-//     error in its Result and the pool moves on (unless FailFast).
+//     error in its Result and the pool moves on.
 //   - Aggregate cancellation: cancelling the parent context aborts
-//     every running job (jobs receive a derived context) and skips the
-//     queued ones; with FailFast, the first job error does the same.
+//     every running job (jobs receive the parent context) and skips
+//     the queued ones.
 //   - With Workers == 1 the pool degenerates to an in-order sequential
 //     loop — the same execution order as calling the jobs directly.
 //
@@ -36,8 +36,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Job is one unit of independent work. The context is a child of the
-// batch context and is cancelled on aggregate abort; worker is the
+// Job is one unit of independent work. The context is the batch
+// context, so cancelling it aborts the job; worker is the
 // index of the pool worker running the job (0 ≤ worker < Workers),
 // stable for the job's whole duration — per-worker state (an engine,
 // an rng) is safe to key on it.
@@ -49,11 +49,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). The effective worker count never exceeds
 	// the number of jobs.
 	Workers int
-	// FailFast makes the first job error cancel the whole batch: running
-	// siblings are aborted through their context and queued jobs are
-	// skipped with ErrSkipped. Off by default — one blown job must not
-	// kill a sweep.
-	FailFast bool
 	// Metrics, when set, receives the pool's per-worker instruments.
 	Metrics *obs.Registry
 }
@@ -76,9 +71,9 @@ type Result[T any] struct {
 	Duration  time.Duration
 }
 
-// ErrSkipped marks a job that never ran because the batch was cancelled
-// (parent context, or a sibling's error under FailFast) first. Match
-// with errors.Is; the cause is wrapped alongside it.
+// ErrSkipped marks a job that never ran because the batch context was
+// cancelled first. Match with errors.Is; the cause is wrapped
+// alongside it.
 var ErrSkipped = errors.New("batch: job skipped after batch abort")
 
 // workers resolves the effective worker count for n jobs: Workers
@@ -151,27 +146,10 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], e
 	workers := opt.workers(len(jobs))
 	met := newPoolMetrics(opt.Metrics, workers)
 
-	// jobCtx aborts every running job on parent cancellation and — under
-	// FailFast — on the first job error. When neither can happen (the
-	// parent is non-cancellable and FailFast is off) the jobs receive the
-	// parent context untouched: a cancellable context makes engine-backed
-	// jobs arm their cooperative abort probes, and the pool must not tax
-	// runs with cancellation machinery nobody can trigger.
-	jobCtx := ctx
-	cancelCause := func(error) {}
-	if opt.FailFast || ctx.Done() != nil {
-		var cancel context.CancelCauseFunc
-		jobCtx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		cancelCause = cancel
-	}
-
-	var failOnce sync.Once
-	fail := func(err error) {
-		if opt.FailFast {
-			failOnce.Do(func() { cancelCause(err) })
-		}
-	}
+	// Jobs receive the parent context untouched: a cancellable context
+	// makes engine-backed jobs arm their cooperative abort probes, so a
+	// non-cancellable parent keeps runs free of cancellation machinery
+	// nobody can trigger.
 
 	// One worker runs inline on the calling goroutine — not just an
 	// optimisation of the degenerate case: engine-backed jobs recurse
@@ -182,8 +160,8 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], e
 	if workers == 1 {
 		enqueue := time.Now()
 		for i := range jobs {
-			if jobCtx.Err() != nil {
-				cause := context.Cause(jobCtx)
+			if ctx.Err() != nil {
+				cause := context.Cause(ctx)
 				for ; i < len(jobs); i++ {
 					results[i] = Result[T]{
 						Index:  i,
@@ -193,11 +171,7 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], e
 				}
 				break
 			}
-			res := runOne(jobCtx, jobs[i], i, 0, enqueue, met)
-			if res.Err != nil && !errors.Is(res.Err, ErrSkipped) {
-				fail(res.Err)
-			}
-			results[i] = res
+			results[i] = runOne(ctx, jobs[i], i, 0, enqueue, met)
 		}
 		return results, nil
 	}
@@ -208,11 +182,11 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], e
 		for i := range jobs {
 			select {
 			case next <- i:
-			case <-jobCtx.Done():
+			case <-ctx.Done():
 				// Mark everything not yet handed out as skipped. The
 				// feeding goroutine owns results[i] for undispatched i, so
 				// this does not race with the workers.
-				cause := context.Cause(jobCtx)
+				cause := context.Cause(ctx)
 				for ; i < len(jobs); i++ {
 					results[i] = Result[T]{
 						Index:  i,
@@ -232,11 +206,7 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], e
 		go func(worker int) {
 			defer wg.Done()
 			for i := range next {
-				res := runOne(jobCtx, jobs[i], i, worker, enqueue, met)
-				if res.Err != nil && !errors.Is(res.Err, ErrSkipped) {
-					fail(res.Err)
-				}
-				results[i] = res
+				results[i] = runOne(ctx, jobs[i], i, worker, enqueue, met)
 			}
 		}(w)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/obs"
@@ -93,55 +92,9 @@ func TestPerJobErrorsDoNotKillBatch(t *testing.T) {
 	}
 }
 
-// TestFailFastSkipsQueuedJobs: under FailFast the first error cancels
-// the batch; queued jobs are skipped with ErrSkipped wrapping the
-// cause, and skipped results carry Worker == -1.
-func TestFailFastSkipsQueuedJobs(t *testing.T) {
-	boom := errors.New("boom")
-	jobs := make([]batch.Job[int], 32)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(ctx context.Context, _ int) (int, error) {
-			if i == 0 {
-				return 0, boom
-			}
-			// Give the failure time to propagate so later jobs are skipped
-			// rather than raced into workers.
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(2 * time.Millisecond):
-			}
-			return i, nil
-		}
-	}
-	res, err := batch.Run(context.Background(), jobs, batch.Options{Workers: 2, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(res[0].Err, boom) {
-		t.Fatalf("job 0: %v, want boom", res[0].Err)
-	}
-	skipped := 0
-	for i, r := range res[1:] {
-		if errors.Is(r.Err, batch.ErrSkipped) {
-			skipped++
-			if !errors.Is(r.Err, boom) {
-				t.Fatalf("job %d: skip cause %v, want wrapped boom", i+1, r.Err)
-			}
-			if r.Worker != -1 {
-				t.Fatalf("job %d skipped but Worker = %d", i+1, r.Worker)
-			}
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("fail-fast batch skipped no queued jobs")
-	}
-}
-
-// TestNoFailFastNeverSkips: without FailFast every job runs even when
-// most of them fail.
-func TestNoFailFastNeverSkips(t *testing.T) {
+// TestFailingJobsNeverSkipSiblings: every job runs even when most of
+// them fail — a job error never cancels the batch.
+func TestFailingJobsNeverSkipSiblings(t *testing.T) {
 	var ran atomic.Int64
 	jobs := make([]batch.Job[int], 20)
 	for i := range jobs {
@@ -159,13 +112,14 @@ func TestNoFailFastNeverSkips(t *testing.T) {
 	}
 	for i, r := range res {
 		if errors.Is(r.Err, batch.ErrSkipped) {
-			t.Fatalf("job %d skipped without FailFast", i)
+			t.Fatalf("job %d skipped after a sibling failed", i)
 		}
 	}
 }
 
 // TestParentCancellationSkipsAndAborts: cancelling the parent context
-// aborts running jobs (their context closes) and skips queued ones.
+// aborts running jobs (their context closes) and skips queued ones;
+// skipped results wrap ErrSkipped with the cause and carry Worker == -1.
 func TestParentCancellationSkipsAndAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -186,13 +140,23 @@ func TestParentCancellationSkipsAndAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	skipped := 0
 	for i, r := range res {
 		if r.Err == nil {
 			t.Fatalf("job %d finished cleanly after parent cancellation", i)
 		}
-		if !errors.Is(r.Err, context.Canceled) && !errors.Is(r.Err, batch.ErrSkipped) {
-			t.Fatalf("job %d: %v, want canceled or skipped", i, r.Err)
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Fatalf("job %d: %v, want canceled or skipped wrapping the cause", i, r.Err)
 		}
+		if errors.Is(r.Err, batch.ErrSkipped) {
+			skipped++
+			if r.Worker != -1 {
+				t.Fatalf("job %d skipped but Worker = %d", i, r.Worker)
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("parent cancellation skipped no queued jobs")
 	}
 }
 

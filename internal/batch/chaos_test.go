@@ -1,11 +1,10 @@
 package batch_test
 
 // Worker-isolation tests: one worker's abort — injected fault or
-// node-budget trip — must never corrupt or cancel its siblings unless
-// the batch runs fail-fast. Fault injection is armed per-process via
-// DD_CHAOS=1 (t.Setenv), so these tests also run without the ddchaos
-// build tag; the CI chaos job additionally runs them with the tag and
-// -race.
+// node-budget trip — must never corrupt or cancel its siblings. Fault
+// injection is armed per-process via DD_CHAOS=1 (t.Setenv), so these
+// tests also run without the ddchaos build tag; the CI chaos job
+// additionally runs them with the tag and -race.
 
 import (
 	"errors"
@@ -83,60 +82,8 @@ func TestChaosInjectedAbortIsolatedToWorker(t *testing.T) {
 	}
 }
 
-// TestChaosFailFastInjectionCancelsSiblings: the same injected fault
-// under FailFast cancels the batch — queued jobs are skipped with
-// batch.ErrSkipped wrapping the injected abort as the cause.
-func TestChaosFailFastInjectionCancelsSiblings(t *testing.T) {
-	t.Setenv("DD_CHAOS", "1")
-	rng := rand.New(rand.NewSource(11))
-	// Sibling circuits are deliberately heavy (~ms) so the cancellation
-	// deterministically outruns the queue.
-	victim := verify.RandomCircuit(rng, 5, 40)
-	heavy := verify.RandomCircuit(rng, 10, 150)
-
-	const jobs = 16
-	sims := make([]sim, jobs)
-	for i := range sims {
-		if i == 0 {
-			e := dd.New()
-			if !e.InjectAbortAfter(5, dd.AbortInjected) {
-				t.Fatal("fault injection did not arm despite DD_CHAOS=1")
-			}
-			sims[i] = sim{victim, core.Options{Engine: e}}
-			continue
-		}
-		sims[i] = sim{c: heavy}
-	}
-	results, err := runSims(sims, batch.Options{Workers: 2, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(results[0].Err, core.ErrInjectedAbort) {
-		t.Fatalf("job 0: %v, want injected abort", results[0].Err)
-	}
-	skipped := 0
-	for i, r := range results[1:] {
-		switch {
-		case r.Err == nil:
-			// Dispatched before the abort propagated; legitimate.
-		case errors.Is(r.Err, batch.ErrSkipped):
-			skipped++
-			if !errors.Is(r.Err, core.ErrInjectedAbort) {
-				t.Fatalf("job %d: skip cause %v, want the injected abort", i+1, r.Err)
-			}
-		case errors.Is(r.Err, core.ErrCanceled):
-			// Dispatched into the already-cancelled batch; also legitimate.
-		default:
-			t.Fatalf("job %d: unexpected error %v", i+1, r.Err)
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("fail-fast injection skipped no queued siblings")
-	}
-}
-
 // TestBatchBudgetTripIsolated: one job with a tiny node budget trips
-// FailureBudget; without FailFast its siblings finish untouched with
+// FailureBudget; its siblings finish untouched with
 // the exact serial state. This is the no-chaos half of the isolation
 // guarantee — a real budget exhaustion, not an injected one.
 func TestBatchBudgetTripIsolated(t *testing.T) {

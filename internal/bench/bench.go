@@ -162,7 +162,7 @@ type Measurement struct {
 	Seconds  float64
 	TimedOut bool
 	OOM      bool // node budget exceeded (cfg.MaxNodes)
-	Canceled bool // run cancelled (fail-fast batch abort, ^C)
+	Canceled bool // run cancelled (batch abort, ^C)
 	Parked   bool // memory-pressure governor parked the run
 	// Degraded marks a run that finished, but only because the
 	// memory-pressure governor intervened; FidelityBound is the run's

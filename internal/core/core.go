@@ -108,22 +108,17 @@ type Options struct {
 	// each block body is combined into one matrix and re-used across all
 	// repetitions.
 	UseBlocks bool
-	// GCThreshold is the live-node count above which the engine is
-	// garbage collected between steps. Zero selects the default (200k);
-	// negative disables collection. When MaxNodes or SoftBudget is set,
-	// the effective threshold is clamped to 3/4 of the tighter of the
-	// two so collection keeps the live set under the cap whenever the
-	// workload allows.
-	GCThreshold int
 	// RecordTrace records the DD sizes of the state after every
 	// matrix-vector step and of every applied operation matrix (used for
 	// the Fig. 5 style size traces). Costs O(size) per step.
 	RecordTrace bool
-	// Deadline aborts the run once the wall clock passes it (probed both
-	// between multiplications and inside them). The zero value means no
+	// Deadline aborts the run once the wall clock passes it. RunContext
+	// folds it into the run's context, which is probed both between
+	// multiplications and inside them. The zero value means no
 	// deadline. This mirrors the paper's 2-CPU-hour timeout for the
 	// t_sota columns. The run then returns a *RunError wrapping
-	// ErrDeadlineExceeded.
+	// ErrDeadlineExceeded, as it does when the caller's context passes
+	// its own deadline.
 	Deadline time.Time
 	// MaxNodes arms the engine's live-node budget: when unique-table
 	// occupancy exceeds it mid-operation, the operation aborts. Unless
@@ -229,7 +224,12 @@ type Options struct {
 	OnPressure func(Degradation)
 }
 
-const defaultGCThreshold = 200_000
+// gcLiveThreshold is the live-node count above which the engine is
+// garbage collected between steps. When MaxNodes or SoftBudget is set,
+// the effective threshold is clamped to 3/4 of the tighter of the two
+// (see gcThreshold). A variable only so in-package tests can collect
+// earlier.
+var gcLiveThreshold = 200_000
 
 // Sentinel errors wrapped by *RunError; match with errors.Is.
 var (
@@ -256,9 +256,11 @@ var (
 type FailureKind uint8
 
 const (
-	// FailureDeadline: Options.Deadline expired.
+	// FailureDeadline: the run's context passed its deadline —
+	// Options.Deadline or the caller's own.
 	FailureDeadline FailureKind = iota + 1
-	// FailureCanceled: the context passed to RunContext was canceled.
+	// FailureCanceled: the context passed to RunContext was canceled
+	// before any deadline.
 	FailureCanceled
 	// FailureBudget: Options.MaxNodes was exceeded without recourse.
 	FailureBudget
@@ -314,7 +316,8 @@ type RunError struct {
 	// error describing the recovered panic.
 	Err error
 	// Cause carries underlying detail where available (e.g. the
-	// context's error for FailureCanceled, or the engine's abort error).
+	// context's error for FailureDeadline and FailureCanceled, or the
+	// engine's abort error, which wraps it).
 	Cause error
 }
 
@@ -385,7 +388,10 @@ func Run(c *circuit.Circuit, opt Options) (*Result, error) {
 
 // RunContext simulates c under opt with cooperative cancellation: when
 // ctx is canceled the run aborts — including from inside a long
-// multiplication — and returns a *RunError wrapping ErrCanceled.
+// multiplication — and returns a *RunError wrapping ErrCanceled. The
+// run's only clock is its context: Options.Deadline is folded into ctx,
+// and a ctx that passes its deadline, whichever set it, returns a
+// *RunError wrapping ErrDeadlineExceeded.
 //
 // Error contract: configuration errors (nil circuit, invalid options)
 // return (nil, err). Aborted runs — deadline, cancellation, budget,
@@ -404,9 +410,6 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	}
 	if err := validateStrategy(opt.Strategy); err != nil {
 		return nil, err
-	}
-	if opt.GCThreshold == 0 {
-		opt.GCThreshold = defaultGCThreshold
 	}
 	if opt.StartGate < 0 || opt.StartGate > len(c.Gates) {
 		return nil, fmt.Errorf("core: StartGate %d out of range for %d gates", opt.StartGate, len(c.Gates))
@@ -459,6 +462,11 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if !opt.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, opt.Deadline)
+		defer cancel()
+	}
 	ver, verr := newVerifier(c, opt)
 	if verr != nil {
 		return nil, verr
@@ -494,7 +502,6 @@ func RunContext(ctx context.Context, c *circuit.Circuit, opt Options) (*Result, 
 	}
 	// Arm the engine-level abort layer too: a single multiplication on
 	// huge diagrams can outlive many per-gate checks.
-	eng.SetDeadline(opt.Deadline)
 	eng.SetBudget(opt.MaxNodes)
 	eng.SetContext(ctx)
 	eng.SetIdentitySkip(!opt.DisableIdentitySkip)
@@ -992,18 +999,20 @@ func (r *runner) errFromPanic(rec any, gateIndex int) *RunError {
 	return &RunError{Kind: FailurePanic, GateIndex: gateIndex, Err: fmt.Errorf("core: recovered panic: %v", rec)}
 }
 
-// checkAbort polls the between-operations abort sources (context and
-// deadline; the node budget is enforced inside the kernels).
+// checkAbort polls the run's context between operations (the node
+// budget is enforced inside the kernels). A context past its deadline
+// is a deadline failure, any other done context a cancellation.
 func (r *runner) checkAbort() error {
 	select {
 	case <-r.ctx.Done():
-		return &RunError{Kind: FailureCanceled, GateIndex: r.next, Err: ErrCanceled, Cause: r.ctx.Err()}
 	default:
+		return nil
 	}
-	if !r.opt.Deadline.IsZero() && time.Now().After(r.opt.Deadline) {
-		return &RunError{Kind: FailureDeadline, GateIndex: r.next, Err: ErrDeadlineExceeded}
+	err := r.ctx.Err()
+	if errors.Is(err, context.DeadlineExceeded) {
+		return &RunError{Kind: FailureDeadline, GateIndex: r.next, Err: ErrDeadlineExceeded, Cause: err}
 	}
-	return nil
+	return &RunError{Kind: FailureCanceled, GateIndex: r.next, Err: ErrCanceled, Cause: err}
 }
 
 // checkpoint snapshots the current consistent state for resume.
@@ -1040,7 +1049,6 @@ func (r *runner) abortCheckpointClean(re *RunError) bool {
 
 // disarm clears the engine's abort sources and soft budget.
 func disarm(eng *dd.Engine) {
-	eng.SetDeadline(time.Time{})
 	eng.SetBudget(0)
 	eng.SetContext(nil)
 	eng.SetSoftBudget(0, dd.Watermarks{})
@@ -1076,12 +1084,12 @@ func (r *runner) maybeCheckpoint() error {
 // and below the pressure watermarks whenever the workload allows, so
 // the governor only engages when GC alone no longer suffices.
 func (r *runner) gcThreshold() int {
-	th := r.opt.GCThreshold
+	th := gcLiveThreshold
 	b := r.opt.MaxNodes
 	if s := r.opt.SoftBudget; s > 0 && (b <= 0 || s < b) {
 		b = s
 	}
-	if b > 0 && (th < 0 || b*3/4 < th) {
+	if b > 0 && b*3/4 < th {
 		th = b * 3 / 4
 	}
 	return th
@@ -1097,14 +1105,9 @@ func (r *runner) collect() {
 }
 
 func (r *runner) maybeGC() {
-	th := r.gcThreshold()
-	if th < 0 {
-		return
+	if r.live() > r.gcThreshold() {
+		r.collect()
 	}
-	if r.live() <= th {
-		return
-	}
-	r.collect()
 }
 
 // CombineGates multiplies gates [from, to) of c into a single operation

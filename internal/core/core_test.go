@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -245,7 +246,10 @@ func TestTraceBlocks(t *testing.T) {
 func TestGCDuringRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randomCircuit(rng, 6, 200, false)
-	res, err := Run(c, Options{Strategy: KOperations{K: 4}, GCThreshold: 64})
+	old := gcLiveThreshold
+	gcLiveThreshold = 64
+	t.Cleanup(func() { gcLiveThreshold = old })
+	res, err := Run(c, Options{Strategy: KOperations{K: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,23 +262,19 @@ func TestGCDuringRun(t *testing.T) {
 }
 
 // TestGCThresholdClampsToBudget: routine GC triggers at ¾ of the
-// tighter of MaxNodes and the soft budget whenever that is below the
-// configured threshold, and a disabled threshold (< 0) still collects
-// under a budget.
+// tighter of MaxNodes and the soft budget whenever that is below
+// gcLiveThreshold.
 func TestGCThresholdClampsToBudget(t *testing.T) {
-	for _, tc := range []struct{ gc, maxNodes, soft, want int }{
-		{defaultGCThreshold, 0, 0, defaultGCThreshold},
-		{defaultGCThreshold, 1000, 0, 750},
-		{defaultGCThreshold, 1000, 800, 600},
-		{defaultGCThreshold, 0, 400, 300},
-		{100, 1000, 0, 100},
-		{-1, 0, 0, -1},
-		{-1, 1000, 0, 750},
+	for _, tc := range []struct{ maxNodes, soft, want int }{
+		{0, 0, gcLiveThreshold},
+		{1000, 0, 750},
+		{1000, 800, 600},
+		{0, 400, 300},
 	} {
-		r := &runner{opt: Options{GCThreshold: tc.gc, MaxNodes: tc.maxNodes, SoftBudget: tc.soft}}
+		r := &runner{opt: Options{MaxNodes: tc.maxNodes, SoftBudget: tc.soft}}
 		if got := r.gcThreshold(); got != tc.want {
-			t.Fatalf("GCThreshold %d, MaxNodes %d, SoftBudget %d: threshold %d, want %d",
-				tc.gc, tc.maxNodes, tc.soft, got, tc.want)
+			t.Fatalf("MaxNodes %d, SoftBudget %d: threshold %d, want %d",
+				tc.maxNodes, tc.soft, got, tc.want)
 		}
 	}
 }
@@ -503,6 +503,93 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 	if f := fidelityWithDense(t, res, c); f < 1-1e-9 {
 		t.Fatalf("fidelity %v", f)
+	}
+}
+
+// stallStrategy flushes after every gate, but first sleeps until its
+// wake time, so the flush's multiplication starts on a context already
+// past its deadline and only the engine's probe inside it can stop it.
+type stallStrategy struct{ wake time.Time }
+
+func (s stallStrategy) Name() string { return "stall" }
+
+func (s stallStrategy) ShouldApply(int, func() int, func() int) bool {
+	time.Sleep(time.Until(s.wake))
+	return true
+}
+
+// TestContextDeadlineClassification: the run's context is its only
+// clock. Options.Deadline and the caller's own deadline both end in
+// FailureDeadline with context.DeadlineExceeded as the cause — between
+// steps or from inside a multiplication — while any other context end
+// is FailureCanceled.
+func TestContextDeadlineClassification(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	short := randomCircuit(rng, 6, 500, false)
+	const n = 12
+	long := circuit.New(n)
+	long.H(n - 1).H(0)
+	expired := func() (context.Context, context.CancelFunc) {
+		return context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	}
+	canceled := func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx, cancel
+	}
+	background := func() (context.Context, context.CancelFunc) {
+		return context.Background(), func() {}
+	}
+	for _, tc := range []struct {
+		name     string
+		c        *circuit.Circuit
+		ctx      func() (context.Context, context.CancelFunc)
+		opt      func(eng *dd.Engine) Options
+		kind     FailureKind
+		sentinel error
+		cause    error
+		inKernel bool // the engine's probe, not checkAbort, stopped the run
+	}{
+		{"past Options.Deadline", short, background,
+			func(*dd.Engine) Options { return Options{Deadline: time.Now().Add(-time.Second)} },
+			FailureDeadline, ErrDeadlineExceeded, context.DeadlineExceeded, false},
+		{"deadline inside a multiplication", long, background,
+			func(eng *dd.Engine) Options {
+				init := eng.FromVector(randAmps(rand.New(rand.NewSource(6)), n))
+				deadline := time.Now().Add(20 * time.Millisecond)
+				return Options{Engine: eng, InitialState: &init, Deadline: deadline,
+					Strategy: stallStrategy{wake: deadline.Add(50 * time.Millisecond)}}
+			},
+			FailureDeadline, ErrDeadlineExceeded, context.DeadlineExceeded, true},
+		{"canceled caller context", short, canceled,
+			func(*dd.Engine) Options { return Options{} },
+			FailureCanceled, ErrCanceled, context.Canceled, false},
+		{"caller context deadline", short, expired,
+			func(*dd.Engine) Options { return Options{} },
+			FailureDeadline, ErrDeadlineExceeded, context.DeadlineExceeded, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			res, err := RunContext(ctx, tc.c, tc.opt(dd.New()))
+			var re *RunError
+			if !errors.As(err, &re) || re.Kind != tc.kind || !errors.Is(err, tc.sentinel) {
+				t.Fatalf("err = %v, want %v wrapping %v", err, tc.kind, tc.sentinel)
+			}
+			if !errors.Is(re.Cause, tc.cause) {
+				t.Fatalf("cause = %v, want %v reachable", re.Cause, tc.cause)
+			}
+			var ab *dd.AbortError
+			if inKernel := errors.As(re.Cause, &ab); inKernel != tc.inKernel {
+				t.Fatalf("engine abort in cause = %v (%v), want %v", inKernel, re.Cause, tc.inKernel)
+			}
+			if !tc.inKernel && (re.GateIndex != 0 || res.GatesApplied != 0) {
+				t.Fatalf("stopped at gate %d with %d applied, want before gate 0", re.GateIndex, res.GatesApplied)
+			}
+			if tc.inKernel && ab.Reason != dd.AbortDeadline {
+				t.Fatalf("engine abort reason %v, want deadline", ab.Reason)
+			}
+		})
 	}
 }
 

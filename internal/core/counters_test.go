@@ -63,9 +63,8 @@ func TestRunEndTotalsMatchResult(t *testing.T) {
 }
 
 // TestResultStatsIsEngineStats: a run never leaves its engine, so
-// Result.Stats is exactly the engine's own snapshot — every counter,
-// the pressure probes of a governed run and the nodes its verification
-// passes build included.
+// Result.Stats is exactly the engine's own snapshot — every counter of
+// a governed run and the nodes its verification passes build included.
 func TestResultStatsIsEngineStats(t *testing.T) {
 	eng := dd.New()
 	for round, name := range []string{"fresh", "pre-used"} {
@@ -76,8 +75,8 @@ func TestResultStatsIsEngineStats(t *testing.T) {
 		if got := eng.Stats(); res.Stats != got {
 			t.Errorf("%s engine: Result.Stats\n%+v\nengine\n%+v", name, res.Stats, got)
 		}
-		if round == 0 && res.Stats.PressureProbesLow == 0 {
-			t.Errorf("governed run took no low-band pressure probes")
+		if round == 0 && len(res.Degradations) == 0 {
+			t.Errorf("governed run journaled no degradation")
 		}
 	}
 }

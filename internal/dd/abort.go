@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 )
 
 // Cooperative abort layer. The recursive Add/Mul kernels probe
@@ -18,28 +17,29 @@ import (
 // recover the panic, classify it with AsAbort, and may keep simulating
 // on the same engine (see core.RunContext).
 //
-// Four sources can be armed independently:
+// Three sources can be armed independently:
 //
-//   - SetDeadline: wall-clock deadline (the paper's 2-CPU-hour budget).
-//   - SetContext: context.Context cancellation for cooperative
-//     shutdown of long multiplications.
+//   - SetContext: the run's context.Context. Its cancellation aborts
+//     with AbortCanceled and its deadline (the paper's 2-CPU-hour
+//     budget, core.Options.Deadline) with AbortDeadline.
 //   - SetBudget: live-node budget fed by the unique-table occupancy;
 //     the memory analogue of the deadline.
 //   - InjectAbortAfter: fault injection for chaos tests, firing a
 //     synthetic abort at an exact probe count (gated behind the
 //     ddchaos build tag or DD_CHAOS=1).
 //
-// The memory-pressure signal (SetSoftBudget, see pressure.go) rides
-// the same probe but never aborts: it only bands occupancy into the
-// pressure Stats counters for core's degradation governor.
+// The memory-pressure signal (SetSoftBudget, see pressure.go) does not
+// ride the probe: Pressure() reads the live counts when asked.
 
 // AbortReason classifies why an engine operation aborted.
 type AbortReason uint8
 
 const (
-	// AbortDeadline: the wall-clock deadline set via SetDeadline expired.
+	// AbortDeadline: the context set via SetContext passed its
+	// deadline.
 	AbortDeadline AbortReason = iota + 1
-	// AbortCanceled: the context set via SetContext was canceled.
+	// AbortCanceled: the context set via SetContext was canceled for
+	// any other reason.
 	AbortCanceled
 	// AbortBudget: live nodes exceeded the budget set via SetBudget.
 	AbortBudget
@@ -64,9 +64,6 @@ func (r AbortReason) String() string {
 
 // Sentinel errors carried by AbortError; match with errors.Is.
 var (
-	// ErrDeadlineExceeded is carried when a deadline set via SetDeadline
-	// expires mid-operation.
-	ErrDeadlineExceeded = errors.New("dd: engine deadline exceeded")
 	// ErrBudgetExceeded is carried when the live-node budget set via
 	// SetBudget is exceeded mid-operation.
 	ErrBudgetExceeded = errors.New("dd: engine node budget exceeded")
@@ -80,7 +77,7 @@ var (
 type AbortError struct {
 	Reason AbortReason
 	// Cause is the underlying error: one of the dd sentinel errors, or
-	// the context's Err() for AbortCanceled.
+	// the context's Err() for AbortDeadline and AbortCanceled.
 	Cause error
 	// Probes is the value of the engine's probe counter at the abort
 	// site (useful for reproducing the abort point in chaos tests).
@@ -101,33 +98,16 @@ func AsAbort(recovered any) (*AbortError, bool) {
 	return a, ok
 }
 
-// AbortedByDeadline reports whether a recovered panic value is an
-// engine deadline abort. Retained for callers predating AsAbort.
-func AbortedByDeadline(recovered any) bool {
-	a, ok := AsAbort(recovered)
-	return ok && a.Reason == AbortDeadline
-}
-
-// SetDeadline arms a wall-clock deadline checked inside the arithmetic
-// recursions. When it expires, the running operation panics with an
-// *AbortError (reason AbortDeadline); callers recover it and surface an
-// error. A zero time disarms the deadline. The engine stays canonical
-// and reusable after the abort.
-func (e *Engine) SetDeadline(t time.Time) {
-	e.deadline = t
-	e.deadlineSkip = 0
-	e.rearm()
-}
-
-// SetContext arms cooperative cancellation: once ctx is canceled, the
-// running operation aborts with reason AbortCanceled. A nil context
-// disarms. Contexts that can never be canceled (Done() == nil) are
-// ignored.
+// SetContext arms cooperative cancellation: once ctx is done, the
+// running operation aborts with reason AbortDeadline if ctx passed its
+// deadline and AbortCanceled otherwise. A nil context disarms.
+// Contexts that can never be done (Done() == nil) are ignored. The
+// engine stays canonical and reusable after the abort.
 func (e *Engine) SetContext(ctx context.Context) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
+	e.ctx, e.done = nil, nil
+	if ctx != nil && ctx.Done() != nil {
+		e.ctx, e.done = ctx, ctx.Done()
 	}
-	e.ctx = ctx
 	e.rearm()
 }
 
@@ -180,12 +160,11 @@ func chaosEnabled() bool {
 
 // rearm recomputes the fast-path armed flag from the abort sources.
 func (e *Engine) rearm() {
-	e.armed = !e.deadline.IsZero() || e.ctx != nil || e.budget > 0 ||
-		e.injectAt != 0 || e.softBudget > 0
+	e.armed = e.done != nil || e.budget > 0 || e.injectAt != 0
 }
 
-// abortProbeMask samples the slow checks (time syscall, context poll)
-// once per 256 probes; fault injection and the budget stay exact.
+// abortProbeMask samples the context once per 256 probes; fault
+// injection and the budget stay exact.
 const abortProbeMask = 0xff
 
 // abortCheck is probed from the hot recursion paths. The single armed
@@ -206,61 +185,17 @@ func (e *Engine) abortCheck() {
 	if e.budget > 0 && e.vUnique.live+e.mUnique.live > e.budget {
 		e.abort(AbortBudget, ErrBudgetExceeded)
 	}
-	// The soft budget shares the probe: band occupancy against the
-	// precomputed watermarks (integer compares only — the hot path
-	// stays allocation-free) into the pressure counters. Never aborts.
-	if e.softBudget > 0 {
-		switch live := e.vUnique.live + e.mUnique.live; {
-		case live >= e.wmCrit:
-			e.stats.PressureProbesCritical++
-		case live >= e.wmHigh:
-			e.stats.PressureProbesHigh++
-		case live >= e.wmLow:
-			e.stats.PressureProbesLow++
-		}
-	}
-	if e.probes&abortProbeMask != 0 {
+	if e.done == nil || e.probes&abortProbeMask != 0 {
 		return
 	}
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			e.abort(AbortCanceled, err)
+	select {
+	case <-e.done:
+		err := e.ctx.Err()
+		if errors.Is(err, context.DeadlineExceeded) {
+			e.abort(AbortDeadline, err)
 		}
-	}
-	// The deadline source caches a coarse clock tick: a time.Now() on
-	// every unmasked probe puts a clock read on the multiply hot path,
-	// which is measurable on deadline-bounded sweeps. After each real
-	// read the probe is allowed to skip a count sized from the time
-	// remaining, so distant deadlines cost a clock read only every few
-	// hundred thousand probes while enforcement tightens back to every
-	// masked batch (256 probes) as the deadline approaches.
-	if !e.deadline.IsZero() {
-		if e.deadlineSkip > 0 {
-			e.deadlineSkip--
-			return
-		}
-		e.stats.DeadlineClockReads++
-		now := time.Now()
-		if now.After(e.deadline) {
-			e.abort(AbortDeadline, ErrDeadlineExceeded)
-		}
-		e.deadlineSkip = deadlineSkipFor(e.deadline.Sub(now))
-	}
-}
-
-// deadlineSkipFor sizes the clock-read skip from the time remaining.
-// The resulting worst-case overshoot (skip × 256 probes × probe cost)
-// stays far below the bucket that allowed it.
-func deadlineSkipFor(remaining time.Duration) uint32 {
-	switch {
-	case remaining > time.Second:
-		return 255
-	case remaining > 100*time.Millisecond:
-		return 63
-	case remaining > 10*time.Millisecond:
-		return 7
+		e.abort(AbortCanceled, err)
 	default:
-		return 0
 	}
 }
 
@@ -280,7 +215,7 @@ func (e *Engine) abort(reason AbortReason, cause error) {
 func injectCause(reason AbortReason) error {
 	switch reason {
 	case AbortDeadline:
-		return ErrDeadlineExceeded
+		return context.DeadlineExceeded
 	case AbortBudget:
 		return ErrBudgetExceeded
 	case AbortCanceled:

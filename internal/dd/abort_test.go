@@ -43,7 +43,7 @@ func TestBudgetAborts(t *testing.T) {
 	if ab.Reason != AbortBudget || !errors.Is(ab, ErrBudgetExceeded) {
 		t.Fatalf("abort = %v, want budget", ab)
 	}
-	if AbortedByDeadline(ab) {
+	if ab.Reason == AbortDeadline {
 		t.Fatal("budget abort misclassified as deadline")
 	}
 	if e.Stats().Aborts != 1 {
@@ -84,18 +84,23 @@ func TestBackgroundContextIgnored(t *testing.T) {
 	}
 }
 
+// TestDeadlineAbortStillClassified: a context that passed its deadline
+// aborts with AbortDeadline, not AbortCanceled, and carries
+// context.DeadlineExceeded.
 func TestDeadlineAbortStillClassified(t *testing.T) {
 	e := New()
 	a, b := bigPair(e, 3)
-	e.SetDeadline(time.Now().Add(-time.Second))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	e.SetContext(ctx)
 	ab := recoverAbort(func() { e.Add(a, b) })
 	if ab == nil {
 		t.Fatal("expired deadline did not abort")
 	}
-	if !AbortedByDeadline(ab) || !errors.Is(ab, ErrDeadlineExceeded) {
-		t.Fatalf("abort = %v, want deadline", ab)
+	if ab.Reason != AbortDeadline || !errors.Is(ab, context.DeadlineExceeded) {
+		t.Fatalf("abort = %v, want deadline wrapping context.DeadlineExceeded", ab)
 	}
-	e.SetDeadline(time.Time{})
+	e.SetContext(nil)
 }
 
 func TestInjectRequiresChaosGate(t *testing.T) {
@@ -145,7 +150,7 @@ func TestInjectedReasonsCarrySentinels(t *testing.T) {
 		reason AbortReason
 		want   error
 	}{
-		{AbortDeadline, ErrDeadlineExceeded},
+		{AbortDeadline, context.DeadlineExceeded},
 		{AbortBudget, ErrBudgetExceeded},
 		{AbortCanceled, context.Canceled},
 		{AbortInjected, ErrInjectedAbort},
@@ -208,56 +213,6 @@ func TestAbortMidMulLeavesEngineReusable(t *testing.T) {
 			if d := wm[i][j] - gm[i][j]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
 				t.Fatalf("post-abort product differs at (%d,%d)", i, j)
 			}
-		}
-	}
-}
-
-func TestDeadlineProbeCachesClockReads(t *testing.T) {
-	e := New()
-	e.SetDeadline(time.Now().Add(time.Hour))
-	for i := 0; i < 1<<20; i++ {
-		e.abortCheck()
-	}
-	s := e.Stats()
-	unmasked := e.Probes() / (abortProbeMask + 1)
-	if s.DeadlineClockReads == 0 {
-		t.Fatal("deadline probe never read the clock")
-	}
-	// With over a second remaining the skip is 255, so reads stay near
-	// unmasked/256; the bound below leaves slack for boundary effects.
-	if max := unmasked/64 + 2; s.DeadlineClockReads > max {
-		t.Fatalf("DeadlineClockReads = %d over %d unmasked probes, want <= %d",
-			s.DeadlineClockReads, unmasked, max)
-	}
-	// Re-arming resets the skip, so an expired deadline still aborts on
-	// the first unmasked probe.
-	e.SetDeadline(time.Now().Add(-time.Millisecond))
-	ab := recoverAbort(func() {
-		for i := 0; i <= abortProbeMask+1; i++ {
-			e.abortCheck()
-		}
-	})
-	if ab == nil || ab.Reason != AbortDeadline {
-		t.Fatalf("expired deadline after re-arm did not abort: %v", ab)
-	}
-	e.SetDeadline(time.Time{})
-}
-
-func TestDeadlineSkipTightensNearDeadline(t *testing.T) {
-	cases := []struct {
-		remaining time.Duration
-		want      uint32
-	}{
-		{time.Hour, 255},
-		{2 * time.Second, 255},
-		{500 * time.Millisecond, 63},
-		{50 * time.Millisecond, 7},
-		{5 * time.Millisecond, 0},
-		{-time.Second, 0},
-	}
-	for _, c := range cases {
-		if got := deadlineSkipFor(c.remaining); got != c.want {
-			t.Errorf("deadlineSkipFor(%v) = %d, want %d", c.remaining, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dd
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -96,13 +97,15 @@ func BenchmarkGC(b *testing.B) {
 	}
 }
 
-// BenchmarkMulVecDeadline is BenchmarkMulVec with a distant wall-clock
-// deadline armed, so the abort probes run their unmasked path. The
-// clock-read skip cache in abortCheck must keep the overhead small and
-// the hot path at 0 allocs/op (CI greps the benchmark output for it).
-func BenchmarkMulVecDeadline(b *testing.B) {
+// BenchmarkMulVecContext is BenchmarkMulVec with a cancellable context
+// armed under a distant deadline, so every abort probe counts and every
+// 256th polls the context. The armed probe must keep the hot path at 0
+// allocs/op (CI greps the benchmark output for it).
+func BenchmarkMulVecContext(b *testing.B) {
 	e := New()
-	e.SetDeadline(time.Now().Add(time.Hour))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	e.SetContext(ctx)
 	const n = 12
 	rng := rand.New(rand.NewSource(42))
 	gates := make([]MEdge, 64)

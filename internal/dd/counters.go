@@ -80,10 +80,6 @@ var Counters = slices.Concat(StepCounters, []Counter{
 	row("gc_pause_ns", "Time spent inside GarbageCollect, in nanoseconds.", func(s *Stats) *time.Duration { return &s.GCPause }),
 	peak("gc_max_pause_ns", "Longest single collection, in nanoseconds.", func(s *Stats) *time.Duration { return &s.GCMaxPause }),
 	row("aborts", "Cooperative aborts raised by the abort layer.", func(s *Stats) *uint64 { return &s.Aborts }),
-	row("deadline_clock_reads", "Clock reads by the deadline probe.", func(s *Stats) *uint64 { return &s.DeadlineClockReads }),
-	row("pressure_probes_low", "Abort probes taken in the low soft-budget band.", func(s *Stats) *uint64 { return &s.PressureProbesLow }),
-	row("pressure_probes_high", "Abort probes taken in the high soft-budget band.", func(s *Stats) *uint64 { return &s.PressureProbesHigh }),
-	row("pressure_probes_critical", "Abort probes taken in the critical soft-budget band.", func(s *Stats) *uint64 { return &s.PressureProbesCritical }),
 	row("reorder_swaps", "Adjacent level swaps performed by dynamic reordering.", func(s *Stats) *uint64 { return &s.ReorderSwaps }),
 	row("sift_passes", "Variables sifted by dynamic reordering.", func(s *Stats) *uint64 { return &s.SiftPasses }),
 	peak("peak_v_nodes", "Most live vector nodes in the unique table.", func(s *Stats) *int { return &s.PeakVNodes }),

@@ -71,30 +71,23 @@ type Engine struct {
 	// Cooperative abort layer (see abort.go). armed caches whether any
 	// source below is live so the kernel probes cost one branch when
 	// nothing is armed; probes counts probe invocations while armed.
-	deadline     time.Time
+	// done caches ctx.Done() for the sampled non-blocking receive.
 	ctx          context.Context
+	done         <-chan struct{}
 	budget       int
 	injectAt     uint64
 	injectReason AbortReason
 	probes       uint64
 	armed        bool
 
-	// deadlineSkip is the number of unmasked probes the deadline source
-	// may skip before re-reading the clock; see abortCheck.
-	deadlineSkip uint32
-
 	// Memory-pressure signal (see pressure.go). wmLow/wmHigh/wmCrit are
 	// absolute live-node thresholds precomputed from the watermark
-	// fractions so the per-probe banding is integer compares only.
-	// injectLevel is the chaos override; lastGCLive/lastGCFreed record
-	// the most recent collection for the reclaim-effectiveness signal.
+	// fractions; injectLevel is the chaos override.
 	softBudget  int
 	wmLow       int
 	wmHigh      int
 	wmCrit      int
 	injectLevel PressureLevel
-	lastGCLive  int
-	lastGCFreed int
 
 	// epoch stamps node marks during SizeV/SizeM traversals and GC
 	// marking, so repeated traversals need no per-call visited set.
@@ -219,18 +212,6 @@ type Stats struct {
 	// Aborts counts cooperative aborts raised by the abort layer
 	// (deadline, cancellation, budget or fault injection; see abort.go).
 	Aborts uint64
-	// DeadlineClockReads counts actual clock reads by the deadline
-	// probe — far fewer than probes/256 thanks to the skip cache in
-	// abortCheck; tests pin the ratio.
-	DeadlineClockReads uint64
-
-	// Pressure-probe counters: abort probes taken while live-node
-	// occupancy sat in each soft-budget watermark band (see
-	// pressure.go). How long the engine spent near its budget, at
-	// kernel-recursion resolution.
-	PressureProbesLow      uint64
-	PressureProbesHigh     uint64
-	PressureProbesCritical uint64
 
 	// ReorderSwaps counts adjacent level swaps performed by the dynamic
 	// reordering layer (see reorder.go); SiftPasses counts variables

@@ -26,7 +26,6 @@ import "time"
 func (e *Engine) GarbageCollect(vroots []VEdge, mroots []MEdge) {
 	start := time.Now()
 	e.stats.GCs++
-	liveBefore := e.vUnique.live + e.mUnique.live
 
 	e.bumpEpoch()
 	for _, r := range vroots {
@@ -44,10 +43,6 @@ func (e *Engine) GarbageCollect(vroots []VEdge, mroots []MEdge) {
 	freed := e.vUnique.sweep(e.epoch, &e.vArena)
 	freed += e.mUnique.sweep(e.epoch, &e.mArena)
 	e.stats.NodesRecycled += uint64(freed)
-	// Feed the pressure signal's reclaim-effectiveness ratio (see
-	// pressure.go): a collection that frees almost nothing means the
-	// live set itself fills the budget.
-	e.lastGCLive, e.lastGCFreed = liveBefore, freed
 
 	e.clearCaches()
 

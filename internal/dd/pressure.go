@@ -4,12 +4,11 @@ import "fmt"
 
 // Memory-pressure signal. A soft budget armed via SetSoftBudget bands
 // live-node occupancy against three watermarks (fractions of the soft
-// budget); the banding runs on the same probe the abort layer uses, as
-// integer compares only, so the kernel hot path stays allocation-free.
-// Unlike the hard budget (SetBudget) the soft budget never aborts —
-// crossing a watermark merely raises the level reported by Pressure(),
-// which core's governor consults at flush boundaries to walk its
-// staged degradation ladder instead of running into the budget cliff.
+// budget). Unlike the hard budget (SetBudget) the soft budget never
+// aborts and never arms the kernel probe: Pressure() reads the live
+// counts when asked, and core's governor asks at flush boundaries to
+// walk its staged degradation ladder instead of running into the
+// budget cliff.
 
 // PressureLevel classifies live-node occupancy against the soft
 // budget's watermarks.
@@ -59,36 +58,22 @@ func DefaultWatermarks() Watermarks {
 	return Watermarks{Low: 0.70, High: 0.85, Critical: 0.95}
 }
 
-// Valid reports whether the watermarks are strictly increasing within
-// (0, 1]. The zero value is also valid (it means "defaults").
-func (w Watermarks) Valid() bool {
-	if w == (Watermarks{}) {
-		return true
-	}
-	return w.Low > 0 && w.Low < w.High && w.High < w.Critical && w.Critical <= 1
-}
-
 // SetSoftBudget arms the pressure signal against a live-node target.
 // The watermark fractions (zero value: DefaultWatermarks) are
-// precomputed into absolute node counts so the per-probe banding costs
-// integer compares only. maxNodes <= 0 disarms the signal. Invalid
-// watermarks fall back to the defaults — callers wanting an error
-// should validate via Watermarks.Valid first (core does, with a typed
-// ConfigError).
+// precomputed into absolute node counts. maxNodes <= 0 disarms the
+// signal.
 func (e *Engine) SetSoftBudget(maxNodes int, w Watermarks) {
 	if maxNodes <= 0 {
 		e.softBudget, e.wmLow, e.wmHigh, e.wmCrit = 0, 0, 0, 0
-		e.rearm()
 		return
 	}
-	if w == (Watermarks{}) || !w.Valid() {
+	if w == (Watermarks{}) {
 		w = DefaultWatermarks()
 	}
 	e.softBudget = maxNodes
 	e.wmLow = wmNodes(w.Low, maxNodes)
 	e.wmHigh = wmNodes(w.High, maxNodes)
 	e.wmCrit = wmNodes(w.Critical, maxNodes)
-	e.rearm()
 }
 
 // wmNodes converts a watermark fraction to an absolute threshold,
@@ -101,9 +86,6 @@ func wmNodes(frac float64, budget int) int {
 	return n
 }
 
-// SoftBudget returns the armed soft budget (0 when disarmed).
-func (e *Engine) SoftBudget() int { return e.softBudget }
-
 // PressureInfo is an O(1) snapshot of the memory-pressure signal.
 type PressureInfo struct {
 	// Level is the occupancy band (the chaos override from
@@ -112,38 +94,24 @@ type PressureInfo struct {
 	// Live is the combined live-node occupancy of both unique tables —
 	// the quantity banded against the watermarks.
 	Live int
-	// Budget is the armed soft budget (0 when disarmed).
-	Budget int
-	// Occupancy is Live/Budget (0 when disarmed). May exceed 1.
-	Occupancy float64
-	// ReclaimRatio is freed/live-before of the most recent
-	// GarbageCollect — how effective collection still is. 0 before the
-	// first collection; a ratio near 0 after one means the live set
-	// itself is what fills the budget and further GC cannot help.
-	ReclaimRatio float64
 }
 
 // Pressure snapshots the signal. O(1): the occupancy is two field
-// reads and the reclaim ratio was recorded by the last collection.
+// reads.
 func (e *Engine) Pressure() PressureInfo {
-	live := e.vUnique.live + e.mUnique.live
-	info := PressureInfo{Live: live, Budget: e.softBudget}
+	info := PressureInfo{Live: e.vUnique.live + e.mUnique.live}
 	if e.softBudget > 0 {
-		info.Occupancy = float64(live) / float64(e.softBudget)
 		switch {
-		case live >= e.wmCrit:
+		case info.Live >= e.wmCrit:
 			info.Level = PressureCritical
-		case live >= e.wmHigh:
+		case info.Live >= e.wmHigh:
 			info.Level = PressureHigh
-		case live >= e.wmLow:
+		case info.Live >= e.wmLow:
 			info.Level = PressureLow
 		}
 	}
 	if e.injectLevel > info.Level {
 		info.Level = e.injectLevel
-	}
-	if e.lastGCLive > 0 {
-		info.ReclaimRatio = float64(e.lastGCFreed) / float64(e.lastGCLive)
 	}
 	return info
 }

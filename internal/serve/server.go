@@ -139,6 +139,9 @@ type Server struct {
 }
 
 type job struct {
+	// spec and circ are what an attempt runs; a terminal job drops circ
+	// and the spec's circuit text (dropCircuit), since status queries
+	// never read them and job.json on disk keeps the spec.
 	spec     JobSpec
 	circ     *circuit.Circuit
 	priority batch.Priority
@@ -223,6 +226,7 @@ func (s *Server) recover() error {
 		s.jobs[e.Status.ID] = j
 		s.order = append(s.order, e.Status.ID)
 		if e.Status.State.Terminal() {
+			j.dropCircuit()
 			continue
 		}
 		circ, perr := parseSpecCircuit(&e.Spec)
@@ -237,9 +241,7 @@ func (s *Server) recover() error {
 			j.status.State = StateFailed
 			j.status.Error = fmt.Sprintf("recovery: %v", perr)
 			j.status.ErrorKind = "error"
-			if serr := s.jn.saveState(&j.status); serr != nil {
-				s.cfg.Logf("serve: journal %s: %v", j.status.ID, serr)
-			}
+			s.persistTerminalLocked(j)
 			s.met.jobsFailed.Inc()
 			continue
 		}
@@ -663,7 +665,7 @@ func (s *Server) runJob(poolCtx context.Context, id string) {
 	eng := dd.New()
 	strategy, serr := StrategyFor(&spec)
 	if serr != nil {
-		s.finishJob(id, nil, serr)
+		s.finishJob(id, &spec, circ, nil, serr)
 		return
 	}
 	opt := core.Options{
@@ -710,7 +712,7 @@ func (s *Server) runJob(poolCtx context.Context, id string) {
 	}
 
 	res, runErr := core.RunContext(jctx, circ, opt)
-	s.finishJob(id, res, runErr)
+	s.finishJob(id, &spec, circ, res, runErr)
 }
 
 // saveJobCheckpoint persists a resume checkpoint and advances the
@@ -787,23 +789,18 @@ func (s *Server) persistResult(id string, spec *JobSpec, circ *circuit.Circuit, 
 }
 
 // finishJob records an attempt's outcome and decides what happens
-// next: done, a scheduled retry, parked (drain), or failed.
-func (s *Server) finishJob(id string, res *core.Result, runErr error) {
+// next: done, a scheduled retry, parked (drain), or failed. spec and
+// circ are the attempt's own copies, taken when it started.
+func (s *Server) finishJob(id string, spec *JobSpec, circ *circuit.Circuit, res *core.Result, runErr error) {
 	var sum *JobSummary
 	if runErr == nil {
 		s.mu.Lock()
-		j := s.jobs[id]
 		killed := s.killed
-		var spec JobSpec
-		var circ *circuit.Circuit
-		if j != nil {
-			spec, circ = j.spec, j.circ
-		}
 		s.mu.Unlock()
-		if j == nil || killed {
+		if killed {
 			return
 		}
-		sum, runErr = s.persistResult(id, &spec, circ, res)
+		sum, runErr = s.persistResult(id, spec, circ, res)
 	}
 
 	s.mu.Lock()
@@ -969,14 +966,24 @@ func (s *Server) finishCanceledLocked(j *job) {
 	s.settleClientLocked(j, outcomeNeutral)
 }
 
-// persistTerminalLocked journals a terminal record. A write failure is
-// logged, not fatal: the in-memory state stays terminal, and the worst
-// post-crash consequence is one extra re-run — at-least-once
-// execution, exactly-once terminal state per journal generation.
+// persistTerminalLocked journals a terminal record and drops the job's
+// circuit. A write failure is logged, not fatal: the in-memory state
+// stays terminal, and the worst post-crash consequence is one extra
+// re-run — at-least-once execution, exactly-once terminal state per
+// journal generation.
 func (s *Server) persistTerminalLocked(j *job) {
+	j.dropCircuit()
 	if err := s.jn.saveState(&j.status); err != nil {
 		s.cfg.Logf("serve: journal %s terminal state: %v", j.status.ID, err)
 	}
+}
+
+// dropCircuit releases what only an attempt reads: the parsed circuit
+// and the spec's circuit text. A long-lived server would otherwise
+// hold every job it ever finished in memory.
+func (j *job) dropCircuit() {
+	j.circ = nil
+	j.spec.Circuit, j.spec.QASM = "", ""
 }
 
 // failureKind names an error class for records and metrics.
