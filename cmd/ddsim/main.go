@@ -47,7 +47,9 @@
 // simulating.
 //
 // Aborted runs print a partial-progress report and exit with a
-// distinct status:
+// distinct status. SIGINT (^C) or SIGTERM during the simulation cancels
+// it: the run stops inside the current operation, writes its
+// -checkpoint, and exits 5; a second signal kills the process.
 //
 //	0 success   2 usage      4 node budget exceeded   6 internal panic
 //	1 error     3 timeout    5 canceled                7 state corruption
@@ -65,15 +67,18 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/batch"
@@ -271,7 +276,9 @@ func main() {
 	if governedBudget == 0 {
 		governedBudget = *maxNodes
 	}
-	res, err := core.Run(c, runOpt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	res, err := core.RunContext(ctx, c, runOpt)
+	stop()
 	if err != nil {
 		// The partial run's telemetry is the interesting part of an
 		// aborted run; flush it before reportFailure exits.

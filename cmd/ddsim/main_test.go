@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/supremacy"
 )
 
@@ -38,6 +39,23 @@ func ddsim(t *testing.T, args ...string) string {
 		t.Fatalf("ddsim %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	return stdout.String()
+}
+
+// writeCircuit writes c to sup.qc in dir and returns the path.
+func writeCircuit(t *testing.T, dir string, c *circuit.Circuit) string {
+	t.Helper()
+	qc := filepath.Join(dir, "sup.qc")
+	f, err := os.Create(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return qc
 }
 
 // parseSamples reads the "|bits>  count" lines of a histogram,
@@ -69,17 +87,7 @@ func parseSamples(t *testing.T, text string) map[string]int {
 // -parallel, since there is one run to checkpoint.
 func TestParallelShotsGolden(t *testing.T) {
 	dir := t.TempDir()
-	qc := filepath.Join(dir, "sup.qc")
-	f, err := os.Create(qc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := supremacy.Circuit(3, 3, 8, 1).Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	qc := writeCircuit(t, dir, supremacy.Circuit(3, 3, 8, 1))
 	events := filepath.Join(dir, "ev.jsonl")
 	out := ddsim(t, "-file", qc, "-strategy", "k-operations", "-k", "4",
 		"-shots", "1000", "-parallel", "4", "-seed", "3", "-top", "0",
@@ -111,5 +119,53 @@ func TestParallelShotsGolden(t *testing.T) {
 	}
 	if !strings.Contains(out, "parallel:       4 sampling streams from one simulation") {
 		t.Fatalf("missing parallel report line:\n%s", out)
+	}
+}
+
+// TestInterruptWritesCheckpoint sends SIGINT to a -checkpoint run once
+// its simulation has started (the -progress run_start line) and expects
+// exit status 5 (canceled) and an abort checkpoint that passes -fsck.
+// The circuit, sequential supremacy 5×4 at depth 15, takes seconds to
+// simulate; -timeout bounds a run the signal fails to stop.
+func TestInterruptWritesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	qc := writeCircuit(t, dir, supremacy.Circuit(5, 4, 15, 1))
+	ck := filepath.Join(dir, "ck.bin")
+	cmd := exec.Command(os.Args[0], "-file", qc, "-checkpoint", ck, "-progress", "-timeout", "60s", "-top", "0")
+	cmd.Env = append(os.Environ(), "DDSIM_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	sc := bufio.NewScanner(stderr)
+	started := false
+	for !started && sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+		started = strings.HasPrefix(sc.Text(), "progress: ")
+	}
+	if started {
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+	}
+	err = cmd.Wait()
+	if !started {
+		t.Fatalf("run ended (%v) before its progress line:\n%s", err, log.String())
+	}
+	if code := cmd.ProcessState.ExitCode(); code != 5 {
+		t.Fatalf("interrupted run exited %d (%v), want 5:\n%s", code, err, log.String())
+	}
+	if !strings.Contains(log.String(), "checkpoint:     "+ck) {
+		t.Fatalf("interrupted run reports no checkpoint:\n%s", log.String())
+	}
+	if out := ddsim(t, "-fsck", ck); !strings.Contains(out, "fsck:           ok") {
+		t.Fatalf("-fsck of the abort checkpoint:\n%s", out)
 	}
 }

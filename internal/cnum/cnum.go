@@ -96,9 +96,9 @@ func KeyOf(c complex128) Key {
 // Storage is an open-addressing hash table over quantisation keys
 // (power-of-two capacity, linear probing, doubling at 3/4 load). A cell
 // may hold several representatives — they then occupy separate slots
-// with equal keys on the same probe chain. Lookup sits on the node
-// creation hot path, where the previous map-of-slices layout cost nine
-// map lookups plus an allocation per new weight.
+// on the same probe chain. Lookup sits on the node creation hot path,
+// where the previous map-of-slices layout cost nine map lookups plus an
+// allocation per new weight.
 //
 // The zero Table is ready to use.
 type Table struct {
@@ -108,11 +108,13 @@ type Table struct {
 	misses uint64
 }
 
-// tableSlot is one slot of a Table. A slot is occupied when rep != 0:
-// Lookup answers exact and near zero with Zero before it inserts, so
-// every stored representative has a component of magnitude ≥ Tol.
+// tableSlot is one slot of a Table, 16 bytes with no pointer. A slot is
+// occupied when rep != 0: Lookup answers exact and near zero with Zero
+// before it inserts, so every stored representative has a component of
+// magnitude ≥ Tol. The slot's key is not stored: it is always
+// KeyOf(rep), which a probe recomputes only for a representative that
+// already passed Eq, and grow for every representative it re-places.
 type tableSlot struct {
-	key Key
 	rep complex128
 }
 
@@ -157,9 +159,9 @@ func (t *Table) Lookup(c complex128) complex128 {
 		for di := iLo; di <= iHi; di++ {
 			nk := Key{k.Re + dr, k.Im + di}
 			for i := hashKey(nk) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
-				if t.slots[i].key == nk && Eq(t.slots[i].rep, c) {
+				if r := t.slots[i].rep; Eq(r, c) && KeyOf(r) == nk {
 					t.hits++
-					return t.slots[i].rep
+					return r
 				}
 			}
 		}
@@ -213,7 +215,7 @@ func (t *Table) insert(k Key, c complex128) {
 	for t.slots[i].rep != 0 {
 		i = (i + 1) & mask
 	}
-	t.slots[i] = tableSlot{key: k, rep: c}
+	t.slots[i] = tableSlot{rep: c}
 	t.count++
 }
 
@@ -225,7 +227,7 @@ func (t *Table) grow() {
 		if s.rep == 0 {
 			continue
 		}
-		i := hashKey(s.key) & mask
+		i := hashKey(KeyOf(s.rep)) & mask
 		for t.slots[i].rep != 0 {
 			i = (i + 1) & mask
 		}
@@ -254,10 +256,9 @@ func (t *Table) Canonical(c complex128) bool {
 	// Bit-identity implies the same quantisation key, so only the exact
 	// cell needs probing (Lookup's neighbour cells are for tolerance
 	// matches of *different* bit patterns).
-	k := KeyOf(c)
 	mask := uint32(len(t.slots) - 1)
-	for i := hashKey(k) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
-		if t.slots[i].key == k && t.slots[i].rep == c {
+	for i := hashKey(KeyOf(c)) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
+		if t.slots[i].rep == c {
 			return true
 		}
 	}

@@ -30,9 +30,9 @@ func (t *Table) lookupFullScan(c complex128) complex128 {
 		for di := int64(-1); di <= 1; di++ {
 			nk := Key{k.Re + dr, k.Im + di}
 			for i := hashKey(nk) & mask; t.slots[i].rep != 0; i = (i + 1) & mask {
-				if t.slots[i].key == nk && Eq(t.slots[i].rep, c) {
+				if r := t.slots[i].rep; Eq(r, c) && KeyOf(r) == nk {
 					t.hits++
-					return t.slots[i].rep
+					return r
 				}
 			}
 		}
@@ -76,7 +76,7 @@ func (w *twin) lookup(c complex128) error {
 		return fmt.Errorf("call %d: %d slots, full scan %d", w.calls, len(p.slots), len(f.slots))
 	}
 	for i := range p.slots {
-		if p.slots[i].key != f.slots[i].key || !sameBits(p.slots[i].rep, f.slots[i].rep) {
+		if !sameBits(p.slots[i].rep, f.slots[i].rep) {
 			return fmt.Errorf("call %d: Lookup(%v): slot %d holds %+v, full scan %+v", w.calls, c, i, p.slots[i], f.slots[i])
 		}
 	}

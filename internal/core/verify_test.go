@@ -103,8 +103,8 @@ func TestParanoidQubitCap(t *testing.T) {
 // a fault in the engine's memory would: a mid-mantissa bit flip in its
 // first non-zero weight, or a swap of its two successor edges (a
 // redirect of the 0-child to the terminal when both are equal). The
-// node keeps its stored hash and unique-table slot; that staleness is
-// the damage.
+// node keeps its unique-table slot and the key hash stored there; that
+// staleness is the damage.
 func corruptState(v dd.VEdge, swap bool) {
 	n := v.N
 	if swap {

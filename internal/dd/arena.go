@@ -5,34 +5,51 @@ package dd
 // nodes are recycled through an intrusive free list (threaded through
 // E[0].N, which is meaningless on a dead node). Chunks are never
 // returned to the runtime while the engine lives, so node pointers stay
-// valid for the engine's lifetime and the Go GC never has to trace or
-// sweep individual nodes.
+// valid for the engine's lifetime. The Go collector still scans every
+// chunk it reaches — nodes hold child pointers — but it allocates and
+// frees chunks, not individual nodes.
 //
-// A chunk's backing array is allocated at full capacity up front and
-// only ever sliced longer, never re-allocated — appending must not move
-// nodes that are already referenced.
+// Every node has a fixed arena index, the position it was first handed
+// out at (chunk = idx >> arenaChunkBits), stored in the node's idx
+// field and kept across recycling. Unique-table slots refer to nodes by
+// this index, which keeps the tables pointer-free (see table.go).
 
-// arenaChunkSize is the number of nodes per chunk. 2048 VNodes ≈ 128 KiB
-// and 2048 MNodes ≈ 224 KiB: big enough to amortise allocation, small
+// arenaChunkSize is the number of nodes per chunk. 2048 VNodes = 128 KiB
+// and 2048 MNodes = 240 KiB: big enough to amortise allocation, small
 // enough that tiny engines (tests build thousands of them) stay cheap.
 // The first chunk of each arena, like every compute cache and memo, is
 // allocated on first use, so an empty engine holds only its two 8 KiB
 // unique tables.
-const arenaChunkSize = 2048
+const (
+	arenaChunkBits = 11
+	arenaChunkSize = 1 << arenaChunkBits
+)
 
 type vArena struct {
-	chunks [][]VNode
+	chunks []*[arenaChunkSize]VNode
+	n      uint32 // nodes handed out: the next fresh index
 	free   *VNode // free list, linked through E[0].N
 	nfree  int
 }
 
 type mArena struct {
-	chunks [][]MNode
+	chunks []*[arenaChunkSize]MNode
+	n      uint32
 	free   *MNode
 	nfree  int
 }
 
-// alloc returns a zeroed node, recycling the free list first.
+// at returns the node at arena index i.
+func (a *vArena) at(i uint32) *VNode {
+	return &a.chunks[i>>arenaChunkBits][i&(arenaChunkSize-1)]
+}
+
+func (m *mArena) at(i uint32) *MNode {
+	return &m.chunks[i>>arenaChunkBits][i&(arenaChunkSize-1)]
+}
+
+// alloc returns a node whose fields are zero apart from its arena
+// index, recycling the free list first.
 func (a *vArena) alloc() *VNode {
 	if n := a.free; n != nil {
 		a.free = n.E[0].N
@@ -40,12 +57,14 @@ func (a *vArena) alloc() *VNode {
 		n.E[0].N = nil
 		return n
 	}
-	if len(a.chunks) == 0 || len(a.chunks[len(a.chunks)-1]) == arenaChunkSize {
-		a.chunks = append(a.chunks, make([]VNode, 0, arenaChunkSize))
+	i := a.n
+	if i&(arenaChunkSize-1) == 0 {
+		a.chunks = append(a.chunks, new([arenaChunkSize]VNode))
 	}
-	c := &a.chunks[len(a.chunks)-1]
-	*c = (*c)[:len(*c)+1]
-	return &(*c)[len(*c)-1]
+	a.n++
+	n := a.at(i)
+	n.idx = i
+	return n
 }
 
 func (m *mArena) alloc() *MNode {
@@ -55,25 +74,28 @@ func (m *mArena) alloc() *MNode {
 		n.E[0].N = nil
 		return n
 	}
-	if len(m.chunks) == 0 || len(m.chunks[len(m.chunks)-1]) == arenaChunkSize {
-		m.chunks = append(m.chunks, make([]MNode, 0, arenaChunkSize))
+	i := m.n
+	if i&(arenaChunkSize-1) == 0 {
+		m.chunks = append(m.chunks, new([arenaChunkSize]MNode))
 	}
-	c := &m.chunks[len(m.chunks)-1]
-	*c = (*c)[:len(*c)+1]
-	return &(*c)[len(*c)-1]
+	m.n++
+	n := m.at(i)
+	n.idx = i
+	return n
 }
 
-// release puts a dead node on the free list. The mark is zeroed here so
-// a recycled node can never carry a stale epoch mark into a fresh
-// traversal (epoch values start at 1, so 0 never matches).
+// release puts a dead node on the free list, keeping its arena index.
+// The mark is zeroed here so a recycled node can never carry a stale
+// epoch mark into a fresh traversal (epoch values start at 1, so 0
+// never matches).
 func (a *vArena) release(n *VNode) {
-	*n = VNode{E: [2]VEdge{{N: a.free}, {}}}
+	*n = VNode{E: [2]VEdge{{N: a.free}, {}}, idx: n.idx}
 	a.free = n
 	a.nfree++
 }
 
 func (m *mArena) release(n *MNode) {
-	*n = MNode{E: [4]MEdge{{N: m.free}, {}, {}, {}}}
+	*n = MNode{E: [4]MEdge{{N: m.free}, {}, {}, {}}, idx: n.idx}
 	m.free = n
 	m.nfree++
 }
@@ -82,17 +104,13 @@ func (m *mArena) release(n *MNode) {
 // handed out — live, dead, or free-listed. Called on the (astronomically
 // rare) epoch wrap-around so no node anywhere can alias a fresh epoch.
 func (a *vArena) resetMarks() {
-	for _, c := range a.chunks {
-		for i := range c {
-			c[i].mark = 0
-		}
+	for i := uint32(0); i < a.n; i++ {
+		a.at(i).mark = 0
 	}
 }
 
 func (m *mArena) resetMarks() {
-	for _, c := range m.chunks {
-		for i := range c {
-			c[i].mark = 0
-		}
+	for i := uint32(0); i < m.n; i++ {
+		m.at(i).mark = 0
 	}
 }

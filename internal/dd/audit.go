@@ -17,8 +17,8 @@ import (
 // typed *IntegrityError:
 //
 //   - unique-table canonicity: every live node is findable under its
-//     key, exactly once, and its stored hash matches a recomputation
-//     from its fields;
+//     key, exactly once, and its slot's hash — the only stored copy —
+//     matches a recomputation from its fields;
 //   - normalisation: some edge weight is exactly one, no weight exceeds
 //     magnitude one (beyond the tie tolerance), zero weights point at
 //     the terminal, and every weight is finite and bit-identical to a
@@ -27,8 +27,10 @@ import (
 //     nodes exactly one level below; the terminal only below level 0),
 //     node ids are in the engine's issued range;
 //   - memory: unique-table live/tombstone counters match the slots,
-//     the arena free lists have exactly the recorded length, and every
-//     arena node is either live in a table or free-listed;
+//     every slot and free-listed node agrees with the arena index its
+//     node records, the arena free lists have exactly the recorded
+//     length, and every arena node is either live in a table or
+//     free-listed;
 //   - terminals: the shared terminal sentinels are untouched.
 //
 // Audit is O(live nodes) and allocates only for the free-list cycle
@@ -115,9 +117,6 @@ func (e *Engine) auditVNode(n *VNode) *IntegrityError {
 	if n.V < 0 {
 		return fail("level", "negative variable on a non-terminal node")
 	}
-	if h := hashVKey(n.V, n.E[0], n.E[1]); h != n.hash {
-		return fail("hash", fmt.Sprintf("stored hash %#x, recomputed %#x — node fields mutated after interning", n.hash, h))
-	}
 	one := false
 	for i := range n.E {
 		w, c := n.E[i].W, n.E[i].N
@@ -155,9 +154,6 @@ func (e *Engine) auditMNode(n *MNode) *IntegrityError {
 	if n.V < 0 {
 		return fail("level", "negative variable on a non-terminal node")
 	}
-	if h := hashMKey(n.V, &n.E); h != n.hash {
-		return fail("hash", fmt.Sprintf("stored hash %#x, recomputed %#x — node fields mutated after interning", n.hash, h))
-	}
 	one := false
 	for i := range n.E {
 		w, c := n.E[i].W, n.E[i].N
@@ -181,7 +177,7 @@ func (e *Engine) auditMNode(n *MNode) *IntegrityError {
 		return fail("normalization", "no edge weight is exactly one")
 	}
 	// The isIdentity bit is derived and deliberately excluded from the
-	// stored hash, so the hash check above cannot see a corrupted bit —
+	// key hash, so Audit's hash check cannot see a corrupted bit —
 	// recomputing the shape from the edges here is the only detector.
 	// (With a single corrupted bit the children are honest, so using the
 	// child's bit in the recomputation is sound; a corrupted child fails
@@ -202,8 +198,24 @@ func identityShape(n *MNode) bool {
 		(n.E[0].N == mTerminal || n.E[0].N.isIdentity)
 }
 
+// auditSlot checks a live slot against the node it refers to: the node
+// records the slot's arena index, and the slot's hash — the only stored
+// copy of the key hash — equals h, the hash recomputed from the node's
+// fields.
+func (e *Engine) auditSlot(idx uint32, s slot, id uint32, v int32, matrix bool, h uint32) *IntegrityError {
+	if idx != s.ref-1 {
+		return &IntegrityError{Check: "arena", Matrix: matrix, NodeID: id, Var: v,
+			Detail: fmt.Sprintf("node at arena index %d records index %d", s.ref-1, idx)}
+	}
+	if h != s.hash {
+		return &IntegrityError{Check: "hash", Matrix: matrix, NodeID: id, Var: v,
+			Detail: fmt.Sprintf("slot hash %#x, recomputed %#x — slot or node fields changed after interning", s.hash, h)}
+	}
+	return nil
+}
+
 // Audit verifies the engine's structural invariants — unique-table
-// canonicity and stored-hash consistency, weight canonicalisation and
+// canonicity and slot-hash consistency, weight canonicalisation and
 // normalisation on every edge of every live node, arena/free-list
 // accounting, and the terminal sentinels — and returns the first
 // violation as a *IntegrityError (nil when the engine is sound). The
@@ -216,21 +228,29 @@ func (e *Engine) Audit() error {
 
 	live, dead := 0, 0
 	for _, s := range e.vUnique.slots {
-		switch s {
-		case nil:
-		case vTombstone:
+		switch s.ref {
+		case slotEmpty:
+		case slotTomb:
 			dead++
 		default:
 			live++
-			if err := e.auditVNode(s); err != nil {
+			if s.ref > e.vArena.n {
+				return &IntegrityError{Check: "arena",
+					Detail: fmt.Sprintf("vector slot refers to arena index %d of %d", s.ref-1, e.vArena.n)}
+			}
+			n := e.vArena.at(s.ref - 1)
+			if err := e.auditSlot(n.idx, s, n.id, n.V, false, hashVKey(n.V, n.E[0], n.E[1])); err != nil {
+				return err
+			}
+			if err := e.auditVNode(n); err != nil {
 				return err
 			}
 			// Canonicity: probing with the node's own key must land on
 			// this very node — a duplicate or a mis-placed entry (e.g.
 			// after a corrupted rehash) surfaces as a different hit or a
 			// miss.
-			if hit, _ := e.vUnique.find(s.hash, s.V, s.E[0], s.E[1]); hit != s {
-				return &IntegrityError{Check: "unique-table", NodeID: s.id, Var: s.V,
+			if hit, _ := e.vUnique.findV(&e.vArena, s.hash, n.V, n.E[0], n.E[1]); hit != n {
+				return &IntegrityError{Check: "unique-table", NodeID: n.id, Var: n.V,
 					Detail: "node is not findable under its own key (duplicate or misplaced entry)"}
 			}
 		}
@@ -242,17 +262,25 @@ func (e *Engine) Audit() error {
 
 	live, dead = 0, 0
 	for _, s := range e.mUnique.slots {
-		switch s {
-		case nil:
-		case mTombstone:
+		switch s.ref {
+		case slotEmpty:
+		case slotTomb:
 			dead++
 		default:
 			live++
-			if err := e.auditMNode(s); err != nil {
+			if s.ref > e.mArena.n {
+				return &IntegrityError{Check: "arena", Matrix: true,
+					Detail: fmt.Sprintf("matrix slot refers to arena index %d of %d", s.ref-1, e.mArena.n)}
+			}
+			n := e.mArena.at(s.ref - 1)
+			if err := e.auditSlot(n.idx, s, n.id, n.V, true, hashMKey(n.V, &n.E)); err != nil {
 				return err
 			}
-			if hit, _ := e.mUnique.find(s.hash, s.V, &s.E); hit != s {
-				return &IntegrityError{Check: "unique-table", Matrix: true, NodeID: s.id, Var: s.V,
+			if err := e.auditMNode(n); err != nil {
+				return err
+			}
+			if hit, _ := e.mUnique.findM(&e.mArena, s.hash, n.V, &n.E); hit != n {
+				return &IntegrityError{Check: "unique-table", Matrix: true, NodeID: n.id, Var: n.V,
 					Detail: "node is not findable under its own key (duplicate or misplaced entry)"}
 			}
 		}
@@ -290,6 +318,9 @@ func (e *Engine) auditArenas() *IntegrityError {
 		if seen[n] {
 			return &IntegrityError{Check: "free-list", NodeID: n.id, Var: n.V, Detail: "cycle in the vector arena free list"}
 		}
+		if n.idx >= e.vArena.n || e.vArena.at(n.idx) != n {
+			return &IntegrityError{Check: "arena", Detail: fmt.Sprintf("free-listed vector node records arena index %d it does not occupy", n.idx)}
+		}
 		seen[n] = true
 		freeLen++
 		if freeLen > e.vArena.nfree {
@@ -300,10 +331,7 @@ func (e *Engine) auditArenas() *IntegrityError {
 		return &IntegrityError{Check: "free-list",
 			Detail: fmt.Sprintf("vector free list holds %d nodes, arena records %d", freeLen, e.vArena.nfree)}
 	}
-	total := 0
-	for _, c := range e.vArena.chunks {
-		total += len(c)
-	}
+	total := int(e.vArena.n)
 	if total != e.vUnique.live+e.vArena.nfree {
 		return &IntegrityError{Check: "arena",
 			Detail: fmt.Sprintf("vector arena holds %d nodes, %d live + %d free recorded", total, e.vUnique.live, e.vArena.nfree)}
@@ -313,6 +341,9 @@ func (e *Engine) auditArenas() *IntegrityError {
 	for n := e.mArena.free; n != nil; n = n.E[0].N {
 		if seenM[n] {
 			return &IntegrityError{Check: "free-list", Matrix: true, NodeID: n.id, Var: n.V, Detail: "cycle in the matrix arena free list"}
+		}
+		if n.idx >= e.mArena.n || e.mArena.at(n.idx) != n {
+			return &IntegrityError{Check: "arena", Matrix: true, Detail: fmt.Sprintf("free-listed matrix node records arena index %d it does not occupy", n.idx)}
 		}
 		seenM[n] = true
 		freeLenM++
@@ -324,16 +355,18 @@ func (e *Engine) auditArenas() *IntegrityError {
 		return &IntegrityError{Check: "free-list", Matrix: true,
 			Detail: fmt.Sprintf("matrix free list holds %d nodes, arena records %d", freeLenM, e.mArena.nfree)}
 	}
-	total = 0
-	for _, c := range e.mArena.chunks {
-		total += len(c)
-	}
+	total = int(e.mArena.n)
 	if total != e.mUnique.live+e.mArena.nfree {
 		return &IntegrityError{Check: "arena", Matrix: true,
 			Detail: fmt.Sprintf("matrix arena holds %d nodes, %d live + %d free recorded", total, e.mUnique.live, e.mArena.nfree)}
 	}
 	return nil
 }
+
+// notFindable is the detail of a reachable node that a probe under its
+// recomputed key hash does not find: it was freed or never interned, or
+// its fields changed after interning.
+const notFindable = "reachable node is not findable in the unique table under its key (freed, never interned, or mutated)"
 
 // AuditV audits only the diagram reachable from v, attaching the
 // root-relative edge path of the first failing node (Engine.Audit
@@ -362,9 +395,9 @@ func (e *Engine) AuditV(v VEdge) error {
 			err.Path = path
 			return err
 		}
-		if hit, _ := e.vUnique.find(n.hash, n.V, n.E[0], n.E[1]); hit != n {
+		if hit, _ := e.vUnique.findV(&e.vArena, hashVKey(n.V, n.E[0], n.E[1]), n.V, n.E[0], n.E[1]); hit != n {
 			return &IntegrityError{Check: "unique-table", NodeID: n.id, Var: n.V, Path: path,
-				Detail: "reachable node is not live in the unique table"}
+				Detail: notFindable}
 		}
 		for i := range n.E {
 			if err := walk(n.E[i].N, fmt.Sprintf("%s.%d", path, i)); err != nil {
@@ -392,9 +425,9 @@ func (e *Engine) AuditM(m MEdge) error {
 			err.Path = path
 			return err
 		}
-		if hit, _ := e.mUnique.find(n.hash, n.V, &n.E); hit != n {
+		if hit, _ := e.mUnique.findM(&e.mArena, hashMKey(n.V, &n.E), n.V, &n.E); hit != n {
 			return &IntegrityError{Check: "unique-table", Matrix: true, NodeID: n.id, Var: n.V, Path: path,
-				Detail: "reachable node is not live in the unique table"}
+				Detail: notFindable}
 		}
 		for i := range n.E {
 			if err := walk(n.E[i].N, fmt.Sprintf("%s.%d", path, i)); err != nil {

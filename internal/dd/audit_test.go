@@ -118,11 +118,9 @@ func TestAuditDetectsDanglingNode(t *testing.T) {
 		child := &VNode{V: rogue.V - 1, id: 1}
 		child.E[0] = VEdge{W: cnum.One, N: vTerminal}
 		child.E[1] = VEdge{W: cnum.Zero, N: vTerminal}
-		child.hash = hashVKey(child.V, child.E[0], child.E[1])
 		rogue.E[0].N = child
 		break
 	}
-	rogue.hash = hashVKey(rogue.V, rogue.E[0], rogue.E[1])
 	orig := v.N.E[0].N
 	v.N.E[0].N = rogue
 	defer func() { v.N.E[0].N = orig }()
@@ -133,6 +131,58 @@ func TestAuditDetectsDanglingNode(t *testing.T) {
 	}
 	if ie := err.(*IntegrityError); ie.Check != "unique-table" && ie.Check != "level" && ie.Check != "hash" {
 		t.Fatalf("unexpected check %q: %v", ie.Check, err)
+	}
+}
+
+// TestAuditDetectsSlotCorruption damages a live node's unique-table
+// slot or the arena index the node records, and checks that the
+// whole-table audit names the check that sees it. The slot's hash is
+// the only stored copy of the key hash, so with it damaged the
+// reachable-state audit, which probes under the recomputed hash, no
+// longer finds the node either.
+func TestAuditDetectsSlotCorruption(t *testing.T) {
+	for _, c := range []struct {
+		name, check string
+		damage      func(e *Engine, n *VNode, s *slot)
+	}{
+		{"slot hash", "hash", func(e *Engine, n *VNode, s *slot) { s.hash ^= 1 << 31 }},
+		{"slot past the arena", "arena", func(e *Engine, n *VNode, s *slot) { s.ref = e.vArena.n + 1 }},
+		{"node index", "arena", func(e *Engine, n *VNode, s *slot) { n.idx++ }},
+		{"free-listed node index", "arena", func(e *Engine, n *VNode, s *slot) {
+			e.GarbageCollect([]VEdge{{W: cnum.One, N: n}}, nil)
+			if e.vArena.free == nil {
+				t.Fatal("collection freed no vector node")
+			}
+			e.vArena.free.idx = e.vArena.n
+		}},
+	} {
+		e := New()
+		v := ghzState(e, 4)
+		s := e.slotOf(v.N)
+		if s == nil {
+			t.Fatal("root node has no unique-table slot")
+		}
+		c.damage(e, v.N, s)
+		err := e.Audit()
+		if err == nil {
+			t.Fatalf("%s: Audit missed the damage", c.name)
+		}
+		if ie := err.(*IntegrityError); ie.Check != c.check {
+			t.Fatalf("%s: want the %s check, got %v", c.name, c.check, err)
+		}
+		if c.check != "hash" {
+			continue
+		}
+		if ie := err.(*IntegrityError); ie.NodeID != v.N.id {
+			t.Fatalf("%s: want node %d, got %v", c.name, v.N.id, err)
+		}
+		verr := e.AuditV(v)
+		if verr == nil {
+			t.Fatalf("%s: AuditV found the root under a corrupted slot hash", c.name)
+		}
+		if vie := verr.(*IntegrityError); vie.Check != "unique-table" || vie.Path != "root" {
+			t.Fatalf("%s: want the unique-table check at the root, got %v", c.name, verr)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 
 // BenchmarkMakeNode drives makeVNode through BasisState with a rolling
 // index: a mix of unique-table misses (fresh nodes) and hits (shared
-// suffixes), with periodic full collections to keep the table bounded.
+// suffixes), with a full collection every 8192 iterations that keeps
+// the table bounded and feeds later nodes from the arena free lists.
+// CI runs it for 100000 iterations and fails on any allocs/op.
 func BenchmarkMakeNode(b *testing.B) {
 	e := New()
 	b.ReportAllocs()

@@ -16,16 +16,16 @@ import (
 //
 // Memory layout (see DESIGN.md, "Engine memory layout"): nodes are
 // allocated from chunked arenas and indexed by open-addressing unique
-// tables keyed on the node fields themselves; compute caches are
-// direct-mapped arrays, allocated small on their first probe and
-// doubled on conflict misses, whose entries carry a generation stamp,
-// so post-GC invalidation is a single counter increment instead of a
-// table wipe.
+// tables whose pointer-free slots hold a node's key hash and arena
+// index; compute caches are direct-mapped arrays, allocated small on
+// their first probe and doubled on conflict misses, whose entries carry
+// a generation stamp, so post-GC invalidation is a single counter
+// increment instead of a table wipe.
 type Engine struct {
 	weights cnum.Table
 
-	vUnique vTable
-	mUnique mTable
+	vUnique uniqueTable
+	mUnique uniqueTable
 	vArena  vArena
 	mArena  mArena
 	nextID  uint32
@@ -381,8 +381,8 @@ type ctSlot struct {
 // New returns an empty Engine ready for use.
 func New() *Engine {
 	return &Engine{
-		vUnique:  newVTable(),
-		mUnique:  newMTable(),
+		vUnique:  newUniqueTable(),
+		mUnique:  newUniqueTable(),
 		nextID:   1,
 		cacheGen: 1,
 		projGen:  1,
@@ -506,7 +506,7 @@ func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
 	e0.W = e.normDiv(e0.W, top)
 	e1.W = e.normDiv(e1.W, top)
 	h := hashVKey(v, e0, e1)
-	hit, slot := e.vUnique.find(h, v, e0, e1)
+	hit, slot := e.vUnique.findV(&e.vArena, h, v, e0, e1)
 	if hit != nil {
 		return VEdge{W: top, N: hit}
 	}
@@ -517,9 +517,8 @@ func (e *Engine) makeVNode(v int32, e0, e1 VEdge) VEdge {
 	n.E = [2]VEdge{e0, e1}
 	n.V = v
 	n.id = id
-	n.hash = h
 	e.stats.NodesCreated++
-	e.vUnique.insertAt(slot, n)
+	e.vUnique.insertAt(slot, h, n.idx, v)
 	if e.vUnique.live > e.stats.PeakVNodes {
 		e.stats.PeakVNodes = e.vUnique.live
 	}
@@ -553,7 +552,7 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 		es[i].W = e.normDiv(es[i].W, top)
 	}
 	h := hashMKey(v, &es)
-	hit, slot := e.mUnique.find(h, v, &es)
+	hit, slot := e.mUnique.findM(&e.mArena, h, v, &es)
 	if hit != nil {
 		return MEdge{W: top, N: hit}
 	}
@@ -562,7 +561,6 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 	n.E = es
 	n.V = v
 	n.id = id
-	n.hash = h
 	// Normalisation makes the identity shape canonical — zero
 	// off-diagonals, both diagonal weights exactly one, shared diagonal
 	// child — so one O(1) comparison against the (already stamped) child
@@ -574,7 +572,7 @@ func (e *Engine) makeMNode(v int32, es [4]MEdge) MEdge {
 		es[0].N == es[3].N &&
 		(es[0].N == mTerminal || es[0].N.isIdentity)
 	e.stats.NodesCreated++
-	e.mUnique.insertAt(slot, n)
+	e.mUnique.insertAt(slot, h, n.idx, v)
 	if e.mUnique.live > e.stats.PeakMNodes {
 		e.stats.PeakMNodes = e.mUnique.live
 	}
@@ -649,7 +647,8 @@ func (e *Engine) normDiv(w, top complex128) complex128 {
 }
 
 // hashVKey hashes a normalised vector-node key (full 32 bits; callers
-// mask). Stored into the node so probes and rehashes never recompute it.
+// mask). Stored in the unique-table slot so probes and rehashes never
+// recompute it.
 func hashVKey(v int32, e0, e1 VEdge) uint32 {
 	h := uint32(v)*0x9e3779b1 ^ e0.N.id*0x85ebca77 ^ e1.N.id*0xc2b2ae3d
 	h = foldW(h, e0.W)

@@ -105,24 +105,59 @@ func flipWeight(w complex128) complex128 {
 	return complex(math.Float64frombits(math.Float64bits(real(w))^weightFlipBit), imag(w))
 }
 
+// liveVNodes returns the vector nodes the unique table holds, in slot
+// order.
+func (e *Engine) liveVNodes() []*VNode {
+	var out []*VNode
+	for _, s := range e.vUnique.slots {
+		if s.ref != slotEmpty && s.ref != slotTomb {
+			out = append(out, e.vArena.at(s.ref-1))
+		}
+	}
+	return out
+}
+
+// liveMNodes returns the matrix nodes the unique table holds, in slot
+// order.
+func (e *Engine) liveMNodes() []*MNode {
+	var out []*MNode
+	for _, s := range e.mUnique.slots {
+		if s.ref != slotEmpty && s.ref != slotTomb {
+			out = append(out, e.mArena.at(s.ref-1))
+		}
+	}
+	return out
+}
+
 // corruptNode damages the live node with the given id (ids count node
 // internings from 1) in place and reports whether such a node exists.
-// The stored hash and unique-table slot are left as they were: that
+// The node's unique-table slot, hash included, is left as it was: that
 // staleness is the damage being modelled.
 func (e *Engine) corruptNode(id uint32, kind corruption) bool {
-	for _, n := range e.vUnique.slots {
-		if n != nil && n != vTombstone && n.id == id {
+	for _, n := range e.liveVNodes() {
+		if n.id == id {
 			corruptV(n, kind)
 			return true
 		}
 	}
-	for _, n := range e.mUnique.slots {
-		if n != nil && n != mTombstone && n.id == id {
+	for _, n := range e.liveMNodes() {
+		if n.id == id {
 			corruptM(n, kind)
 			return true
 		}
 	}
 	return false
+}
+
+// slotOf returns the unique-table slot of the live vector node n, or
+// nil when no slot refers to n's arena index.
+func (e *Engine) slotOf(n *VNode) *slot {
+	for i, s := range e.vUnique.slots {
+		if s.ref == n.idx+1 {
+			return &e.vUnique.slots[i]
+		}
+	}
+	return nil
 }
 
 func corruptV(n *VNode, kind corruption) {

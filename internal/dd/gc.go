@@ -40,8 +40,8 @@ func (e *Engine) GarbageCollect(vroots []VEdge, mroots []MEdge) {
 		e.markM(id.N)
 	}
 
-	freed := e.vUnique.sweep(e.epoch, &e.vArena)
-	freed += e.mUnique.sweep(e.epoch, &e.mArena)
+	freed := e.vUnique.sweepV(e.epoch, &e.vArena)
+	freed += e.mUnique.sweepM(e.epoch, &e.mArena)
 	e.stats.NodesRecycled += uint64(freed)
 
 	e.clearCaches()

@@ -254,7 +254,28 @@ func TestGCStatsAndRecycling(t *testing.T) {
 	if m.VFree == 0 {
 		t.Fatal("free list empty after collection")
 	}
+	// Free-listed nodes keep their arena index, so the unique-table
+	// slots that will refer to them after recycling resolve to them.
+	free := map[uint32]bool{}
+	for n := e.vArena.free; n != nil; n = n.E[0].N {
+		if n.idx >= e.vArena.n || e.vArena.at(n.idx) != n {
+			t.Fatalf("free-listed node records arena index %d it does not occupy", n.idx)
+		}
+		free[n.idx] = true
+	}
 	e.FromVector(randState(rng, 8))
+	reused := 0
+	for _, s := range e.vUnique.slots {
+		if s.ref != slotEmpty && s.ref != slotTomb && free[s.ref-1] {
+			if n := e.vArena.at(s.ref - 1); n.idx != s.ref-1 || n.id == 0 {
+				t.Fatalf("slot for arena index %d resolves to a node recording index %d, id %d", s.ref-1, n.idx, n.id)
+			}
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no unique-table slot refers to a recycled arena index")
+	}
 	m2 := e.MemStats()
 	if m2.VChunks != m.VChunks {
 		t.Fatalf("allocation grew a chunk (%d -> %d) despite %d free nodes",
@@ -286,11 +307,9 @@ func TestEpochWrapAround(t *testing.T) {
 	if e.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", e.epoch)
 	}
-	for _, c := range e.vArena.chunks {
-		for i := range c {
-			if c[i].mark > e.epoch {
-				t.Fatalf("node mark %d survived the wrap (epoch %d)", c[i].mark, e.epoch)
-			}
+	for i := uint32(0); i < e.vArena.n; i++ {
+		if m := e.vArena.at(i).mark; m > e.epoch {
+			t.Fatalf("node mark %d at arena index %d survived the wrap (epoch %d)", m, i, e.epoch)
 		}
 	}
 	for n := e.vArena.free; n != nil; n = n.E[0].N {

@@ -28,15 +28,15 @@ import "repro/internal/cnum"
 // sub-vector where this node's qubit is |0>, E[1] to the |1> half.
 //
 // Nodes live in their engine's arena (see arena.go) and are indexed by
-// the open-addressing unique table (see table.go); the full key hash is
-// precomputed into the node so probing and rehashing never recompute
-// it. On free-listed nodes E[0].N doubles as the free-list link.
+// the open-addressing unique table (see table.go), whose slots hold the
+// key hash and the node's arena index. On free-listed nodes E[0].N
+// doubles as the free-list link.
 type VNode struct {
 	E    [2]VEdge
 	V    int32  // qubit/variable index; -1 marks the terminal
 	id   uint32 // engine-unique identity used for cache hashing
 	mark uint32 // engine traversal epoch (see Engine.SizeV, GC marking)
-	hash uint32 // unique-table hash of (V, E), fixed at creation
+	idx  uint32 // arena index, fixed for the node's storage lifetime
 }
 
 // MNode is a decision-diagram node of a matrix. The four successors are
@@ -48,7 +48,7 @@ type MNode struct {
 	V    int32
 	id   uint32
 	mark uint32
-	hash uint32
+	idx  uint32
 	// isIdentity marks nodes whose sub-diagram is exactly the identity
 	// on variables 0..V: zero off-diagonal quadrants, both diagonal
 	// weights exactly one, and a shared diagonal child that is itself
@@ -56,7 +56,7 @@ type MNode struct {
 	// from the already-normalised edges, so the multiplication kernels
 	// can skip identity structure with a single field load (see
 	// arith.go). The bit is derived — it is NOT part of the unique-table
-	// key or the stored hash — and Audit recomputes it structurally (the
+	// key or its hash — and Audit recomputes it structurally (the
 	// "identity-bit" check), which is the only way a corrupted bit is
 	// caught.
 	isIdentity bool

@@ -264,11 +264,11 @@ func TestLevelIndexTracksInsertAndSweep(t *testing.T) {
 	check := func(when string) {
 		for l := 0; l < 8; l++ {
 			want := 0
-			e.vUnique.forEach(func(n *VNode) {
+			for _, n := range e.liveVNodes() {
 				if int(n.V) == l {
 					want++
 				}
-			})
+			}
 			if got := e.VLevelCount(l); got != want {
 				t.Fatalf("%s: VLevelCount(%d) = %d, recount %d", when, l, got, want)
 			}
